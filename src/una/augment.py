@@ -13,15 +13,18 @@ batches.
 Both the term-selection step and the term-replacement step can be
 switched to a purely random baseline for ablation experiments.
 
+Each weighted draw reads the window's score mass from prefix sums over
+the rank order and bisects them, so it costs O(log m) and never builds
+the window; `candidate_window` and `sample_replacement` state the same
+law directly, one window at a time.
+
 Randomness comes from counter-based Philox streams derived from
-(master seed, batch index, position in batch), so results are identical
-no matter how many workers process a batch or in what order.
+(master seed, batch index, position in batch), so a sentence's negative
+does not depend on the order in which a batch's sentences are processed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -33,8 +36,6 @@ from .tfidf import SentenceScores, TfIdfModel, sentence_scores
 MODE_TFIDF = "tfidf"
 MODE_RANDOM = "random"
 _MODES = (MODE_TFIDF, MODE_RANDOM)
-
-THREADS_ENV_VAR = "UNA_THREADS"
 
 
 class EmptySentenceError(ValueError):
@@ -88,9 +89,6 @@ class TermReplacement:
     probability: float
     forced: bool
     replaced: bool
-    # Candidate window, materialized only when a replacement was actually
-    # sampled from it (random replacement mode never uses one).
-    window: np.ndarray | None = None
     replacement_id: int | None = None
 
 
@@ -226,6 +224,42 @@ def sample_replacement(
     return int(window[rng.integers(window.size)])
 
 
+def _sample_from_rank_window(
+    model: TfIdfModel, term_id: int, radius: int, rng: np.random.Generator
+) -> int:
+    """sample_replacement over candidate_window(model, term_id, radius).
+
+    The window is the rank range [low, high] minus the term's own rank.
+    One random() scaled by the window's score mass picks a point on the
+    cumulative scores, and a right-side bisection of score_prefix finds
+    the candidate under it: the same draw and search as numpy's
+    choice(p=), so picks agree up to float rounding at CDF boundaries.
+    Candidates with zero score are never picked unless the whole window
+    has zero mass, in which case one integers() draw picks uniformly.
+    """
+    rank = model.rank_of(term_id)
+    low = max(0, rank - radius)
+    high = min(model.m - 1, rank + radius)
+    prefix = model.score_prefix
+    below = float(prefix[rank] - prefix[low])
+    above = float(prefix[high + 1] - prefix[rank + 1])
+    total = below + above
+    if total > 0:
+        target = rng.random() * total
+        if target < below:
+            start, end, offset = low, rank, target
+        else:
+            start, end, offset = rank + 1, high + 1, target - below
+        # Rounding can carry the point past the sub-range [start, end); the
+        # clamp lands on its last rank, the sub-range's highest score.
+        stop = int(prefix.searchsorted(prefix[start] + offset, side="right"))
+        position = min(stop, end) - 1
+    else:
+        index = int(rng.integers(high - low))
+        position = low + index if low + index < rank else low + index + 1
+    return int(model.rank_by_score[position])
+
+
 def augment_sentence(
     model: TfIdfModel,
     document: Document,
@@ -254,7 +288,6 @@ def augment_sentence(
         term_id = int(scores.term_ids[position])
         probability = float(probabilities[position])
         replaced = bool(rng.random() < probability)
-        window = None
         replacement_id = None
         if replaced:
             if config.replacement_mode == MODE_RANDOM:
@@ -262,13 +295,10 @@ def augment_sentence(
                     model, (), MODE_RANDOM, rng, original_term_id=term_id
                 )
             else:
-                window = candidate_window(model, term_id, config.radius)
-                replacement_id = sample_replacement(
-                    model, window, MODE_TFIDF, rng, original_term_id=term_id
-                )
+                replacement_id = _sample_from_rank_window(model, term_id, config.radius, rng)
             substitutions[model.vocabulary.term(term_id)] = model.vocabulary.term(replacement_id)
         plan.entries.append(
-            TermReplacement(term_id, probability, position == forced, replaced, window, replacement_id)
+            TermReplacement(term_id, probability, position == forced, replaced, replacement_id)
         )
 
     tokens = [substitutions.get(token, token) for token in document.tokens]
@@ -279,18 +309,10 @@ def sentence_rng(master_seed: int, batch_index: int, position: int) -> np.random
     """Philox stream for one (batch, sentence) slot.
 
     Streams are a pure function of their coordinates, which is what makes
-    batch augmentation independent of worker count and execution order.
+    batch augmentation independent of execution order.
     """
     sequence = np.random.SeedSequence(master_seed, spawn_key=(batch_index, position))
     return np.random.Generator(np.random.Philox(sequence))
-
-
-def _worker_count() -> int:
-    value = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def augment_batch(
@@ -312,16 +334,10 @@ def augment_batch(
     if batch_index % config.alpha != 0:
         return None
 
-    def run(position: int) -> AugmentedSentence:
-        rng = sentence_rng(config.seed, batch_index, position)
-        return augment_sentence(model, documents[position], config, rng)
-
-    workers = min(_worker_count(), len(documents))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sentences = list(pool.map(run, range(len(documents))))
-    else:
-        sentences = [run(position) for position in range(len(documents))]
+    sentences = [
+        augment_sentence(model, document, config, sentence_rng(config.seed, batch_index, position))
+        for position, document in enumerate(documents)
+    ]
     return NegativeBatch(batch_index, sentences)
 
 

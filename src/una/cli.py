@@ -5,8 +5,9 @@ problems, 2 flag validation, 3 insufficient data. Standard output carries
 only machine-readable results; diagnostics go to standard error.
 
 Each subcommand accepts --config FILE with key=value lines (keys are the
-long flag names); explicit flags override config values, which override
-the built-in defaults.
+long names of that subcommand's optional flags that take a value; any
+other key is a flag error); explicit flags override config values, which
+override the built-in defaults.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class FlagError(ValueError):
     """Bad flag or config value; maps to exit code 2."""
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, valid_keys: frozenset[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -45,8 +46,27 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in text:
                 raise FlagError(f"{path}:{line_number}: expected key=value, got {text!r}")
             key, value = text.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            name = key.strip().replace("-", "_")
+            if name not in valid_keys:
+                known = ", ".join(sorted(k.replace("_", "-") for k in valid_keys))
+                raise FlagError(f"{path}:{line_number}: unknown key {key.strip()!r} (valid keys: {known})")
+            values[name] = value.strip()
     return values
+
+
+def _config_keys(subparser: argparse.ArgumentParser) -> frozenset[str]:
+    """Config keys of a subcommand: its optional flags that take a value.
+
+    Required flags must be given on the command line and switches take no
+    value, so a config entry for either would be read by nothing.
+    """
+    return frozenset(
+        option[2:].replace("-", "_")
+        for action in subparser._actions
+        if not action.required and action.nargs != 0
+        for option in action.option_strings
+        if option.startswith("--") and option != "--config"
+    )
 
 
 def _resolve(args, name: str, default, cast):
@@ -245,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo_p.set_defaults(handler=cmd_loss_demo, una_mode="both")
 
+    for subparser in (fit_p, aug_p, eval_p, demo_p):
+        subparser.set_defaults(config_keys=_config_keys(subparser))
     return parser
 
 
@@ -257,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if getattr(args, "config", None):
-            args._config_values = _load_config_file(args.config)
+            args._config_values = _load_config_file(args.config, args.config_keys)
         return args.handler(args)
     except FlagError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,6 +81,11 @@ class TfIdfModel:
         self.rank_by_score = np.asarray(rank_by_score, dtype=np.int64)
         self._rank_of = np.empty(self.m, dtype=np.int64)
         self._rank_of[self.rank_by_score] = np.arange(self.m)
+        # score_prefix[k] is the summed max_score of the k lowest-ranked
+        # terms, so any rank range's total score is one difference. Ranks
+        # ascend by score, so each term's score is at least 1/k of the sum
+        # before it and no positive score is lost to rounding.
+        self.score_prefix = np.concatenate(([0.0], np.cumsum(self.max_score[self.rank_by_score])))
 
     @property
     def m(self) -> int:
@@ -273,7 +278,8 @@ def load_model(source) -> TfIdfModel:
     for extra, line in enumerate(lines[ranks_line + 1 :]):
         line_number = ranks_line + 2 + extra
         for token in line.split():
-            if not token.isdigit():
+            # isdigit() alone admits non-ASCII digits such as "²" that int() rejects
+            if not (token.isascii() and token.isdigit()):
                 raise ModelFormatError(line_number, f"bad term id {token!r} in rank section")
             term_id = int(token)
             if term_id >= m:

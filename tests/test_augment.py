@@ -12,6 +12,7 @@ from una.augment import (
     AugmentationConfig,
     EmptySentenceError,
     NoReplacementError,
+    _sample_from_rank_window,
     _unclamped_probabilities,
     augment_batch,
     augment_sentence,
@@ -223,6 +224,64 @@ class TestSampleReplacement:
             sample_replacement(model, [], "random", np.random.default_rng(0), original_term_id=0)
 
 
+class TestSampleFromRankWindow:
+    @pytest.mark.parametrize("radius", [1, 3, 50, 4000])
+    def test_matches_window_sampler_pick_for_pick(self, radius):
+        model = fit(zipf_corpus(np.random.default_rng(31)))
+        order = model.rank_by_score
+        terms = [int(order[0]), int(order[-1])] + list(range(model.m))
+        fast, reference = np.random.default_rng(radius), np.random.default_rng(radius)
+        for term_id in terms * 3:
+            window = candidate_window(model, term_id, radius)
+            expected = sample_replacement(model, window, "tfidf", reference)
+            assert _sample_from_rank_window(model, term_id, radius, fast) == expected
+            assert fast.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "draw, expected", [(0.0, 499), (0.5, 501), (float(np.nextafter(1.0, 0.0)), 501)]
+    )
+    def test_extreme_draws_stay_in_window(self, draw, expected):
+        # equal scores: t500's window is {t499, t501} with CDF [0.5, 1.0];
+        # the right-side search sends draw 0.5 up, and near 1 the point
+        # rounds onto prefix[502], past the window, and is clamped back
+        model = synthetic_model(np.ones(1000))
+
+        class FixedDraw:
+            def random(self):
+                return draw
+
+        assert _sample_from_rank_window(model, 500, 1, FixedDraw()) == expected
+
+    @pytest.mark.parametrize("term_id, radius", [(0, 3), (1, 3), (2, 1), (2, 2), (3, 3), (5, 2)])
+    def test_zero_weight_candidates_never_drawn_while_mass_is_positive(self, term_id, radius):
+        # ranks follow ids; ranks 0..2 hold zero scores, so these windows
+        # have zero-weight low edges, or positive mass on one side only
+        model = synthetic_model([0.0, 0.0, 0.0, 0.1, 0.2, 0.3])
+        rng = np.random.default_rng(46)
+        window = candidate_window(model, term_id, radius)
+        positive = {int(t) for t in window if model.max_score[t] > 0}
+        drawn = {_sample_from_rank_window(model, term_id, radius, rng) for _ in range(2000)}
+        assert drawn == positive
+
+    def test_weighted_sampling_law(self):
+        draws = 100_000
+        # the window of t1 is {t0, t2}, one on each side, weights 1 and 3
+        model = synthetic_model([1.0, 2.0, 3.0])
+        rng = np.random.default_rng(106)
+        hits = sum(_sample_from_rank_window(model, 1, 1, rng) == 2 for _ in range(draws))
+        se = (0.75 * 0.25 / draws) ** 0.5
+        assert abs(hits / draws - 0.75) <= 3 * se
+
+        # all-zero window {t0, t2, t3} of t1: uniform over its members
+        model = synthetic_model([0.0, 0.0, 0.0, 0.0, 0.5])
+        counts = np.zeros(model.m)
+        for _ in range(draws):
+            counts[_sample_from_rank_window(model, 1, 2, rng)] += 1
+        assert counts[1] == 0 and counts[4] == 0
+        se = (1 / 3 * 2 / 3 / draws) ** 0.5
+        np.testing.assert_allclose(counts[[0, 2, 3]] / draws, 1 / 3, atol=3 * se)
+
+
 @pytest.fixture
 def small_corpus():
     return load_corpus(io.StringIO("a b b\na c\nd a\n"))
@@ -301,12 +360,13 @@ class TestAugmentSentence:
         forced = [entry for entry in plan if entry.forced]
         assert len(forced) == 1
         assert forced[0].replaced and forced[0].probability == 1.0
+        radius = AugmentationConfig().radius
         for entry in plan:
             if entry.replaced:
                 assert entry.replacement_id is not None
                 assert entry.replacement_id != entry.term_id
-                if entry.window is not None:
-                    assert entry.replacement_id in entry.window
+                distance = small_model.rank_of(entry.replacement_id) - small_model.rank_of(entry.term_id)
+                assert abs(distance) <= radius
             else:
                 assert entry.replacement_id is None
 

@@ -150,6 +150,19 @@ class TestAugment:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_ascii_digit_rank_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text("UNA-TFIDF v1 N=1 m=1\nx\t0.0\t0.0\nranks:\n\u00b2\n", encoding="utf-8")
+        source = self.make_input(tmp_path, 4)
+        rc = main(
+            ["augment", "--model", str(bad), "--input", str(source),
+             "--output", str(tmp_path / "o.tsv")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: bad term id")
+        assert "Traceback" not in err
+
     def test_random_modes_accepted(self, tmp_path, model_file):
         source = self.make_input(tmp_path, 6)
         rc = main(
@@ -320,6 +333,37 @@ class TestConfigFile:
         )
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("betta=0.9", "betta"),  # misspelt
+            ("tau=0.1", "tau"),  # a loss-demo flag, not an augment one
+            ("output=elsewhere.tsv", "output"),  # required on the command line
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, model_file, entry, key, capsys):
+        source = tmp_path / "input.txt"
+        write_lines(source, ["a b"])
+        config = tmp_path / "una.conf"
+        config.write_text(f"seed=1\n{entry}\n", encoding="utf-8")
+        rc = main(
+            ["augment", "--model", str(model_file), "--input", str(source),
+             "--output", str(tmp_path / "o.tsv"), "--config", str(config)]
+        )
+        assert rc == 2
+        assert f"una.conf:2: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_switch_is_not_a_config_key(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        write_lines(corpus, ["a b c", "b c d"])
+        pairs = tmp_path / "pairs.tsv"
+        write_lines(pairs, ["a b\ta c", "b c\tb d"])
+        config = tmp_path / "una.conf"
+        config.write_text("with-una=1\n", encoding="utf-8")
+        rc = main(["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs), "--config", str(config)])
+        assert rc == 2
+        assert "unknown key 'with-una'" in capsys.readouterr().err
 
 
 class TestParser:

@@ -220,6 +220,17 @@ class TestSerialization:
             load_model(io.StringIO("\n".join(lines)))
         assert "non-monotone" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0662"])  # superscript two, Arabic-Indic two
+    def test_rejects_non_ascii_digit_rank_id(self, two_doc_model, token):
+        lines = self._lines(two_doc_model)
+        ids = lines[5].split()
+        ids[0] = token
+        lines[5] = " ".join(ids)
+        with pytest.raises(ModelFormatError) as err:
+            load_model(io.StringIO("\n".join(lines)))
+        assert err.value.line_number == 6
+        assert "bad term id" in str(err.value)
+
     def test_rejects_truncated_file(self, two_doc_model):
         lines = self._lines(two_doc_model)
         with pytest.raises(ModelFormatError):
