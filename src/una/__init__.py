@@ -23,7 +23,7 @@ from .contrastive import (
 )
 from .corpus import Corpus, Document, Vocabulary, build_vocabulary, load_corpus, tokenize
 from .evaluation import EvalReport, ScoredPair, evaluate_pairs, load_scored_pairs, spearman
-from .tfidf import TfIdfModel, SentenceScores, fit, idf, load_model, save_model, sentence_scores, tf
+from .tfidf import TfIdfModel, SentenceScores, fit, load_model, save_model, sentence_scores
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "cosine_similarity",
     "evaluate_pairs",
     "fit",
-    "idf",
     "info_nce",
     "iter_negative_batches",
     "load_corpus",
@@ -62,6 +61,5 @@ __all__ = [
     "save_model",
     "sentence_scores",
     "spearman",
-    "tf",
     "tokenize",
 ]

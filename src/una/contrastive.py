@@ -11,6 +11,7 @@ without one.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -27,14 +28,18 @@ class PairsFormatError(ValueError):
         super().__init__(f"line {line_number}: {reason}")
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+
+
 @dataclass(frozen=True)
 class ContrastiveConfig:
     tau: float = 0.05
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        _check_tau(self.tau)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -52,29 +57,17 @@ def cosine_similarity(u, v) -> float:
     return float(u @ v) / (norm_u * norm_v)
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    shift = float(np.max(values))
-    return shift + float(np.log(np.sum(np.exp(values - shift))))
-
-
-def info_nce(
-    anchor,
-    positive,
-    negatives: Sequence,
-    tau: float,
-    include_positive_in_denominator: bool = False,
-) -> float:
+def info_nce(anchor, positive, negatives: Sequence, tau: float) -> float:
     """Single-anchor contrastive loss.
 
     -log(exp(sim(anchor, positive) / tau) / sum_k exp(sim(anchor, neg_k) / tau)),
-    with the positive kept out of the denominator sum. The optional switch
-    adds it back for the more common softmax variant. Computed with a
+    with the positive kept out of the denominator sum. Computed with a
     max-shifted log-sum-exp, so extreme tau values stay finite. Negative
     loss values are possible: a positive closer than every negative makes
-    the numerator exceed the denominator.
+    the numerator exceed the denominator. This is the reference definition
+    that batch_loss computes for a whole batch at once.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     if len(negatives) == 0:
         raise ValueError("at least one negative is required")
     anchor = np.asarray(anchor, dtype=np.float64)
@@ -91,45 +84,57 @@ def info_nce(
     if not np.all(np.isfinite(positive)):
         raise ValueError("positive embedding has non-finite entries")
     positive_logit = cosine_similarity(anchor, positive) / tau
-    if include_positive_in_denominator:
-        logits.append(positive_logit)
-    return _logsumexp(np.array(logits)) - positive_logit
+    shift = max(logits)
+    return shift + float(np.log(np.sum(np.exp(np.array(logits) - shift)))) - positive_logit
+
+
+def _unit_rows(vectors: Sequence, dim: int | None, label: str) -> np.ndarray:
+    """Stack embeddings into rows scaled to unit length."""
+    rows = np.asarray(vectors, dtype=np.float64)
+    if rows.ndim != 2 or (dim is not None and rows.shape[1] != dim):
+        raise ValueError(f"dimension mismatch: {label} embeddings stack to shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{label} embedding has non-finite entries")
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity is undefined for zero vectors")
+    return rows / norms
 
 
 def batch_loss(
     anchors: Sequence,
     positives: Sequence,
-    in_batch_negatives: Sequence | None = None,
     una_negatives: Sequence = (),
     config: ContrastiveConfig = ContrastiveConfig(),
 ) -> float:
     """Mean contrastive loss over a batch.
 
-    Anchor i is contrasted against every other batch embedding (its own
-    entry is skipped; positives are not part of the pool) plus all
-    generated negatives. in_batch_negatives defaults to the anchors
-    themselves, which is the usual single-view batch.
+    Anchor i is contrasted against every other anchor (positives are not
+    part of the pool) plus all generated negatives: the mean of info_nce
+    over the anchors, computed as one product of unit-length rows with the
+    diagonal masked and a row-wise log-sum-exp.
     """
-    anchors = list(anchors)
-    positives = list(positives)
     if len(anchors) != len(positives):
         raise ValueError(
             f"anchors and positives must align, got {len(anchors)} vs {len(positives)}"
         )
-    if not anchors:
+    if len(anchors) == 0:
         raise ValueError("batch must be non-empty")
-    pool = anchors if in_batch_negatives is None else list(in_batch_negatives)
-    if in_batch_negatives is not None and len(pool) != len(anchors):
-        raise ValueError("in_batch_negatives must align with anchors")
-    extra = list(una_negatives)
-    if len(anchors) < 2 and not extra:
+    if len(anchors) < 2 and len(una_negatives) == 0:
         raise ValueError("a batch of fewer than 2 needs generated negatives")
+    anchors = _unit_rows(anchors, None, "anchor")
+    dim = anchors.shape[1]
+    positives = _unit_rows(positives, dim, "positive")
+    pool = anchors
+    if len(una_negatives):
+        pool = np.vstack([anchors, _unit_rows(una_negatives, dim, "negative")])
 
-    losses = []
-    for index, anchor in enumerate(anchors):
-        negatives = [pool[k] for k in range(len(pool)) if k != index] + extra
-        losses.append(info_nce(anchor, positives[index], negatives, config.tau))
-    return float(np.mean(losses))
+    logits = anchors @ pool.T / config.tau
+    np.fill_diagonal(logits, -np.inf)  # an anchor is not its own negative
+    shift = logits.max(axis=1, keepdims=True)
+    log_denominator = shift[:, 0] + np.log(np.sum(np.exp(logits - shift), axis=1))
+    positive_logits = np.sum(anchors * positives, axis=1) / config.tau
+    return float(np.mean(log_denominator - positive_logits))
 
 
 class ToyEncoder:

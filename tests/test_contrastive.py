@@ -59,13 +59,6 @@ class TestInfoNce:
         loss = info_nce(basis(3, 0), basis(3, 0), [basis(3, 2)], 1.0)
         assert loss == pytest.approx(-1.0, abs=1e-9)
 
-    def test_positive_in_denominator_switch(self):
-        anchor, positive, negative = basis(3, 0), basis(3, 0), basis(3, 2)
-        excluded = info_nce(anchor, positive, [negative], 1.0)
-        included = info_nce(anchor, positive, [negative], 1.0, include_positive_in_denominator=True)
-        assert included == pytest.approx(math.log(math.e + 1.0) - 1.0, abs=1e-12)
-        assert included > excluded
-
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         anchor, positive = rng.standard_normal((2, 8))
@@ -109,8 +102,17 @@ class TestInfoNce:
             info_nce(basis(2, 0), basis(2, 1), [np.array([np.inf, 0.0])], 1.0)
 
     def test_bad_tau_rejected(self):
-        with pytest.raises(ValueError):
-            info_nce(basis(2, 0), basis(2, 1), [basis(2, 1)], 0.0)
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                info_nce(basis(2, 0), basis(2, 1), [basis(2, 1)], tau)
+
+
+def mean_info_nce(anchors, positives, negatives, tau):
+    """The batch loss by definition: each anchor against the others plus the negatives."""
+    return np.mean([
+        info_nce(anchors[i], positives[i], anchors[:i] + anchors[i + 1:] + negatives, tau)
+        for i in range(len(anchors))
+    ])
 
 
 class TestBatchLoss:
@@ -154,9 +156,52 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss([basis(2, 0)], [basis(2, 1), basis(2, 0)])
 
-    def test_config_validation(self):
+    def test_mean_of_info_nce_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n, dim, k = int(rng.integers(1, 65)), int(rng.integers(2, 257)), int(rng.integers(0, 65))
+            if n == 1:
+                k = max(k, 1)
+            tau = float(rng.uniform(0.05, 2.0))
+            anchors = list(rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, (n, 1)))
+            positives = list(rng.standard_normal((n, dim)))
+            negatives = list(rng.standard_normal((k, dim)))
+            got = batch_loss(anchors, positives, una_negatives=negatives, config=ContrastiveConfig(tau=tau))
+            assert got == pytest.approx(mean_info_nce(anchors, positives, negatives, tau), rel=1e-12)
+
+    def test_extreme_temperature_stays_finite(self):
+        anchors = [basis(2, 0), basis(2, 1), -basis(2, 0)]
+        positives = [basis(2, 0), basis(2, 0), basis(2, 1)]
+        negatives = [basis(2, 0)]
+        tau = 1e-3  # logits up to 1000, past exp's overflow
+        got = batch_loss(anchors, positives, una_negatives=negatives, config=ContrastiveConfig(tau=tau))
+        assert math.isfinite(got)
+        assert got == pytest.approx(mean_info_nce(anchors, positives, negatives, tau), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "anchors, positives, negatives",
+        [
+            ([], [], [basis(2, 0)]),  # empty batch
+            ([basis(2, 0), np.zeros(2)], [basis(2, 1), basis(2, 0)], []),  # zero anchor
+            ([basis(2, 0), basis(2, 1)], [basis(2, 1), np.zeros(2)], []),  # zero positive
+            ([basis(2, 0), basis(2, 1)], [basis(2, 1), basis(2, 0)], [np.zeros(2)]),  # zero negative
+            ([basis(2, 0), np.array([np.nan, 1.0])], [basis(2, 1), basis(2, 0)], []),
+            ([basis(2, 0), basis(2, 1)], [basis(2, 1), np.array([np.inf, 0.0])], []),
+            ([basis(2, 0), basis(2, 1)], [basis(2, 1), basis(2, 0)], [np.array([1.0, np.nan])]),
+            ([basis(2, 0), basis(3, 1)], [basis(2, 1), basis(2, 0)], []),  # ragged anchors
+            ([basis(2, 0), basis(2, 1)], [basis(3, 1), basis(3, 0)], []),  # positive dimension
+            ([basis(2, 0), basis(2, 1)], [basis(2, 1), basis(2, 0)], [basis(4, 0)]),  # negative dimension
+            ([basis(4, 0), basis(4, 1)], [basis(4, 1), basis(4, 0)], [basis(2, 0), basis(2, 1)]),
+        ],
+    )
+    def test_bad_inputs_rejected(self, anchors, positives, negatives):
         with pytest.raises(ValueError):
-            ContrastiveConfig(tau=0.0)
+            batch_loss(anchors, positives, una_negatives=negatives, config=ContrastiveConfig(tau=1.0))
+
+    def test_config_validation(self):
+        for tau in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ContrastiveConfig(tau=tau)
         with pytest.raises(ValueError):
             ContrastiveConfig(batch_size=0)
         assert ContrastiveConfig() == ContrastiveConfig(tau=0.05, batch_size=64)

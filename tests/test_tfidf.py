@@ -12,11 +12,9 @@ from una.tfidf import (
     ModelFormatError,
     TfIdfModel,
     fit,
-    idf,
     load_model,
     save_model,
     sentence_scores,
-    tf,
 )
 
 
@@ -28,46 +26,6 @@ def two_doc_corpus():
 @pytest.fixture
 def two_doc_model(two_doc_corpus):
     return fit(two_doc_corpus)
-
-
-class TestTf:
-    def test_absent_term_scores_zero(self):
-        assert tf(0, 5) == 0.0
-
-    def test_all_occurrences(self):
-        assert tf(3, 3) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_partial(self):
-        assert tf(2, 3) == pytest.approx(math.log(5 / 3), abs=1e-12)
-
-    def test_rejects_empty_document(self):
-        with pytest.raises(ValueError):
-            tf(0, 0)
-
-    def test_rejects_count_above_total(self):
-        with pytest.raises(ValueError):
-            tf(4, 3)
-
-
-class TestIdf:
-    def test_term_in_every_document(self):
-        value = idf(7, 7)
-        assert value == 0.0
-        assert math.copysign(1.0, value) == 1.0  # plain zero, not -0.0
-
-    def test_half_of_documents(self):
-        assert idf(1, 2) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_rare_term(self):
-        assert idf(1, 1000) == pytest.approx(math.log(1000), abs=1e-12)
-
-    def test_rejects_zero_and_excess(self):
-        with pytest.raises(ValueError):
-            idf(0, 5)
-        with pytest.raises(ValueError):
-            idf(6, 5)
-        with pytest.raises(ValueError):
-            idf(1, 0)
 
 
 class TestFit:
@@ -92,6 +50,17 @@ class TestFit:
         corpus = corpus_from_token_lists([["x"], ["x"]])
         model = fit(corpus)
         assert model.idf[0] == 0.0 and model.max_score[0] == 0.0
+        assert math.copysign(1.0, model.idf[0]) == 1.0  # plain zero, not -0.0
+        assert math.copysign(1.0, model.max_score[0]) == 1.0
+
+    def test_max_score_is_largest_tf_times_idf(self):
+        # "b" has tf log(1 + 1/4) in the first document and log(1 + 2/3) in
+        # the second; its max score takes the larger one.
+        corpus = corpus_from_token_lists([["a", "b", "c", "d"], ["b", "b", "e"], ["f"]])
+        model = fit(corpus)
+        b = corpus.vocabulary.id_of("b")
+        assert model.idf[b] == -math.log(2 / 3)
+        assert model.max_score[b] == math.log1p(2 / 3) * -math.log(2 / 3)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -219,6 +188,31 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as err:
             load_model(io.StringIO("\n".join(lines)))
         assert "non-monotone" in str(err.value)
+
+    def test_rejects_tie_out_of_id_order(self):
+        # terms 0 and 1 tie at 0.1; a refit ranks them 0 1 2
+        text = "UNA-TFIDF v1 N=2 m=3\nx\t1.0\t0.1\ny\t1.0\t0.1\nz\t1.0\t0.2\nranks:\n{}\n"
+        assert list(load_model(io.StringIO(text.format("0 1 2"))).rank_by_score) == [0, 1, 2]
+        with pytest.raises(ModelFormatError) as err:
+            load_model(io.StringIO(text.format("1 0 2")))
+        assert err.value.line_number == 6
+        assert "non-monotone" in str(err.value)
+
+    @pytest.mark.parametrize("term", ["x y", "Hello.", "UPPER", "(x", "\u00a0x"])
+    def test_rejects_term_that_is_not_one_token(self, two_doc_model, term):
+        lines = self._lines(two_doc_model)
+        lines[2] = "\t".join([term] + lines[2].split("\t")[1:])
+        with pytest.raises(ModelFormatError) as err:
+            load_model(io.StringIO("\n".join(lines)))
+        assert err.value.line_number == 3
+        assert "single token" in str(err.value)
+
+    def test_rejects_empty_term(self, two_doc_model):
+        lines = self._lines(two_doc_model)
+        lines[1] = "\t0.0\t0.0"
+        with pytest.raises(ModelFormatError) as err:
+            load_model(io.StringIO("\n".join(lines)))
+        assert err.value.line_number == 2
 
     @pytest.mark.parametrize("token", ["\u00b2", "\u0662"])  # superscript two, Arabic-Indic two
     def test_rejects_non_ascii_digit_rank_id(self, two_doc_model, token):
