@@ -31,9 +31,9 @@ class CorpusDecodeError(ValueError):
 def _trim_punctuation(piece: str) -> str:
     """Strip leading and trailing Unicode punctuation (category P*)."""
     start, end = 0, len(piece)
-    while start < end and unicodedata.category(piece[start]).startswith("P"):
+    while start < end and unicodedata.category(piece[start])[0] == "P":
         start += 1
-    while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
+    while end > start and unicodedata.category(piece[end - 1])[0] == "P":
         end -= 1
     return piece[start:end]
 
@@ -44,12 +44,22 @@ def tokenize(text: str) -> list[str]:
     Splits on Unicode whitespace, trims surrounding punctuation from each
     piece, lowercases, and drops pieces that end up empty. Order and
     duplicates are preserved. Idempotent on its own output.
+
+    The whole line is lowercased before it is split, and a piece that
+    begins and ends with an alphanumeric character is kept without
+    trimming. Both steps give the same tokens as trimming and lowercasing
+    each piece, because str.lower never creates or changes whitespace or
+    punctuation (category P*), final-sigma context never crosses
+    whitespace, and no alphanumeric character is punctuation
+    (tests/test_corpus.py checks all three on every code point).
     """
     tokens = []
-    for piece in text.split():
-        piece = _trim_punctuation(piece).lower()
-        if piece:
-            tokens.append(piece)
+    for piece in text.lower().split():
+        if not (piece[0].isalnum() and piece[-1].isalnum()):
+            piece = _trim_punctuation(piece)
+            if not piece:
+                continue
+        tokens.append(piece)
     return tokens
 
 
@@ -195,11 +205,20 @@ def load_corpus(source) -> Corpus:
 
     Blank lines are skipped (they carry nothing to score or replace) and
     counted in a single warning. Document ids are dense over the kept lines.
+    The vocabulary is built in the tokenizing pass, ids in first-occurrence
+    order as build_vocabulary gives them, and every token is the
+    vocabulary's own string object for its term, so the corpus holds one
+    string per distinct term rather than one per token.
     """
     lines, skipped = read_nonblank_lines(source)
     if skipped:
         logger.warning("skipped %d blank line(s)", skipped)
-    documents = [
-        Document.from_text(index, text) for index, (_, text) in enumerate(lines)
-    ]
-    return Corpus(documents, build_vocabulary(documents))
+    # Insertion order is first occurrence; each value is the first-seen
+    # object for its term.
+    terms: dict[str, str] = {}
+    intern = terms.setdefault
+    documents = []
+    for index, (_, text) in enumerate(lines):
+        tokens = tokenize(text)
+        documents.append(Document(index, text, list(map(intern, tokens, tokens))))
+    return Corpus(documents, Vocabulary(terms))

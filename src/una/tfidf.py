@@ -8,7 +8,10 @@ from the idf values and the sentence's own term counts.
 
 Conventions fixed here (they must match the serialized files and the test
 oracles): natural logarithms everywhere, tf(c, n) = log(1 + c/n),
-idf(df, N) = -log(df / N), rank ties broken by ascending term id.
+idf(df, N) = -log(df / N), rank ties broken by ascending term id. Both
+logarithms are taken with math.log1p and math.log, one value at a time:
+numpy's np.log1p and np.log differ from them in the last place for about
+1% of arguments, which would change the model bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +29,10 @@ import numpy as np
 from .corpus import Corpus, Vocabulary, tokenize
 
 _HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=(\d+) m=(\d+)$")
+
+# Documents per chunk of fit: large enough that numpy's per-call cost is
+# spread over ~50k tokens, small enough that the chunk's arrays stay a few MB.
+_FIT_CHUNK_DOCS = 4096
 
 
 class ModelFormatError(ValueError):
@@ -114,29 +122,48 @@ def _term_frequencies(vocabulary: Vocabulary, tokens: Iterable[str]) -> tuple[li
 def fit(corpus: Corpus) -> TfIdfModel:
     """Fit idf and per-term maximum tf-idf scores over a corpus.
 
-    One pass over the documents counts document frequencies and keeps each
-    term's largest tf; max_score is that tf times idf, which equals the
-    largest tf * idf because idf >= 0 and rounded products are monotone.
-    Vocabulary terms that occur in no document (possible only with a
-    hand-built corpus) score zero.
+    Documents are counted _FIT_CHUNK_DOCS at a time, so temporary memory
+    is bounded by the chunk, not the corpus. Each chunk becomes one flat
+    term-id array (out-of-vocabulary tokens are skipped and do not count
+    toward a document's length); np.unique over doc * m + term gives every
+    (document, term) count, which adds to the document frequencies and
+    raises each term's largest tf. max_score is that tf times idf, which
+    equals the largest tf * idf because idf >= 0 and rounded products are
+    monotone. Vocabulary terms that occur in no document (possible only
+    with a hand-built corpus) score zero.
     """
     if corpus.n_docs == 0:
         raise ValueError("cannot fit a TF-IDF model on an empty corpus")
     m = len(corpus.vocabulary)
     n_docs = corpus.n_docs
+    # The dict's own get runs without a Python frame per token.
+    lookup = corpus.vocabulary._ids.get
 
-    doc_freq = [0] * m
-    max_tf = [0.0] * m
-    for document in corpus.documents:
-        for term_id, value in zip(*_term_frequencies(corpus.vocabulary, document.tokens)):
-            doc_freq[term_id] += 1
-            if value > max_tf[term_id]:
-                max_tf[term_id] = value
+    doc_freq = np.zeros(m, dtype=np.int64)
+    max_tf = np.zeros(m, dtype=np.float64)
+    for start in range(0, n_docs, _FIT_CHUNK_DOCS):
+        chunk = corpus.documents[start : start + _FIT_CHUNK_DOCS]
+        tokens = list(chain.from_iterable(document.tokens for document in chunk))
+        ids = np.fromiter(map(lookup, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+        docs = np.repeat(np.arange(len(chunk)), [len(document.tokens) for document in chunk])
+        known = ids >= 0
+        ids, docs = ids[known], docs[known]
+        keys, counts = np.unique(docs * m + ids, return_counts=True)
+        terms = keys % m
+        lengths = np.bincount(docs, minlength=len(chunk))
+        # Sentences are short, so the ratios c/n take few distinct values
+        # and math.log1p (see the module docstring) runs once per value.
+        ratios, inverse = np.unique(counts / lengths[keys // m], return_inverse=True)
+        tfs = np.array([math.log1p(ratio) for ratio in ratios.tolist()])[inverse]
+        doc_freq += np.bincount(terms, minlength=m)
+        np.maximum.at(max_tf, terms, tfs)
 
     # The +0.0 turns the -0.0 of a term in every document into a plain 0.0
     # so serialization stays tidy.
-    idf_values = np.array([-math.log(df / n_docs) + 0.0 if df else 0.0 for df in doc_freq])
-    return TfIdfModel(corpus.vocabulary, n_docs, idf_values, np.array(max_tf) * idf_values)
+    idf_values = np.array(
+        [-math.log(df / n_docs) + 0.0 if df else 0.0 for df in doc_freq.tolist()]
+    )
+    return TfIdfModel(corpus.vocabulary, n_docs, idf_values, max_tf * idf_values)
 
 
 @dataclass
@@ -158,6 +185,14 @@ class SentenceScores:
         if self.term_ids.size > 1 and not np.all(np.diff(self.term_ids) > 0):
             raise ValueError("term_ids must be strictly increasing")
 
+    @classmethod
+    def _unchecked(cls, term_ids: np.ndarray, scores: np.ndarray) -> "SentenceScores":
+        """Wrap arrays already known to pass __post_init__: parallel 1-D
+        int64 and float64 arrays with strictly increasing term ids."""
+        result = cls.__new__(cls)
+        result.term_ids, result.scores = term_ids, scores
+        return result
+
     @property
     def n_terms(self) -> int:
         return int(self.term_ids.size)
@@ -172,7 +207,9 @@ def sentence_scores(model: TfIdfModel, tokens: Iterable[str]) -> SentenceScores:
     """
     term_ids, tfs = _term_frequencies(model.vocabulary, tokens)
     term_ids = np.array(term_ids, dtype=np.int64)
-    return SentenceScores(term_ids, np.array(tfs, dtype=np.float64) * model.idf[term_ids])
+    # _term_frequencies returns ascending ids, so the checks of a directly
+    # built SentenceScores would only repeat what holds by construction.
+    return SentenceScores._unchecked(term_ids, np.array(tfs, dtype=np.float64) * model.idf[term_ids])
 
 
 def save_model(model: TfIdfModel, sink) -> None:

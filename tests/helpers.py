@@ -8,19 +8,61 @@ two sides stay independent checks of each other.
 from __future__ import annotations
 
 import math
+import unicodedata
+from pathlib import Path
 
 import numpy as np
 
 from una.corpus import Corpus, Document, Vocabulary, build_vocabulary
-from una.tfidf import TfIdfModel
+from una.tfidf import TfIdfModel, _term_frequencies
 
 
-def corpus_from_token_lists(token_lists) -> Corpus:
+def reference_tokenize(text: str) -> list[str]:
+    """The tokenizer's definition, one piece at a time: split on
+    whitespace, trim category-P* characters from both ends, lowercase, and
+    drop pieces that end up empty."""
+    tokens = []
+    for piece in text.split():
+        start, end = 0, len(piece)
+        while start < end and unicodedata.category(piece[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
+            end -= 1
+        piece = piece[start:end].lower()
+        if piece:
+            tokens.append(piece)
+    return tokens
+
+
+def reference_fit(corpus: Corpus) -> TfIdfModel:
+    """Per-document fit loop with the library's arithmetic: the bit-exact
+    oracle of the chunked fit (brute_force_tfidf checks the math itself)."""
+    m = len(corpus.vocabulary)
+    n_docs = corpus.n_docs
+    doc_freq = [0] * m
+    max_tf = [0.0] * m
+    for document in corpus.documents:
+        for term_id, value in zip(*_term_frequencies(corpus.vocabulary, document.tokens)):
+            doc_freq[term_id] += 1
+            if value > max_tf[term_id]:
+                max_tf[term_id] = value
+    idf_values = np.array([-math.log(df / n_docs) + 0.0 if df else 0.0 for df in doc_freq])
+    return TfIdfModel(corpus.vocabulary, n_docs, idf_values, np.array(max_tf) * idf_values)
+
+
+SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.txt"
+
+
+def corpus_from_token_lists(token_lists, vocabulary_terms=None) -> Corpus:
+    """Corpus over the given tokens; a hand-picked vocabulary may leave out
+    some of them or add terms that no document uses."""
     documents = [
         Document(index, " ".join(tokens), list(tokens))
         for index, tokens in enumerate(token_lists)
     ]
-    return Corpus(documents, build_vocabulary(documents))
+    if vocabulary_terms is None:
+        return Corpus(documents, build_vocabulary(documents))
+    return Corpus(documents, Vocabulary(vocabulary_terms))
 
 
 def brute_force_tfidf(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,14 @@
 """Tokenizer, vocabulary, and corpus loading behavior."""
 
 import io
+import sys
+import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SAMPLE_CORPUS, reference_tokenize
 from una.corpus import (
     Corpus,
     CorpusDecodeError,
@@ -15,6 +18,18 @@ from una.corpus import (
     load_corpus,
     read_nonblank_lines,
     tokenize,
+)
+
+# Characters where lowercasing, splitting and trimming could disagree:
+# final and non-final sigma, a capital whose lowercase is two characters,
+# combining marks (some case-ignorable, one cased), titlecase, punctuation
+# that is and is not case-ignorable, and whitespace beyond ASCII.
+_TRICKY = (
+    "ΣσςİIiAaßǅǄªⅫ٢_"
+    "\u0301\u0307\u0313\u0345\u02b0"  # combining marks (U+0345 is cased), a modifier letter
+    ".,'\u2019\"«»—–…¿¡·\u2027\u05f4\u061f\u3001\u3002!?-()[]{}"
+    " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2003\u2028\u2029\u202f\u3000"
+    "\u180e\u200b\u00ad"  # format characters that are not whitespace
 )
 
 
@@ -67,6 +82,58 @@ class TestTokenize:
             assert token != ""
             assert token == token.lower()
             assert not any(ch.isspace() for ch in token)
+
+
+class TestTokenizeFastPath:
+    """tokenize lowercases the whole line before splitting and skips the
+    trim for pieces with alphanumeric ends; these are the Unicode facts
+    that make that equal to the per-piece definition."""
+
+    def test_unicode_invariants_on_every_code_point(self):
+        for code_point in range(sys.maxunicode + 1):
+            char = chr(code_point)
+            lowered = char.lower()
+            assert lowered, f"U+{code_point:04X} lowercases to nothing"
+            if char.isspace():
+                assert lowered == char, f"whitespace U+{code_point:04X} changes when lowercased"
+            else:
+                assert not any(c.isspace() for c in lowered), f"U+{code_point:04X} lowercases to whitespace"
+            if unicodedata.category(char)[0] == "P":
+                assert lowered == char, f"punctuation U+{code_point:04X} changes when lowercased"
+                assert not char.isalnum(), f"punctuation U+{code_point:04X} is alphanumeric"
+            else:
+                assert not any(unicodedata.category(c)[0] == "P" for c in lowered), (
+                    f"U+{code_point:04X} lowercases to punctuation"
+                )
+
+    def test_final_sigma_context_stops_at_whitespace_and_punctuation(self):
+        # Lowercasing Σ looks past case-ignorable characters for a cased
+        # one on each side. Neither whitespace nor a P* character may be
+        # cased, and whitespace may not be case-ignorable, or lowercasing a
+        # whole line (or an untrimmed piece) would differ from lowercasing
+        # each trimmed piece.
+        separators = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        punctuation = [
+            chr(c) for c in range(sys.maxunicode + 1) if unicodedata.category(chr(c))[0] == "P"
+        ]
+        for char in separators:
+            assert ("A" + char + "Σ").lower() == "a" + char + "σ", repr(char)
+            assert ("AΣ" + char + "B").lower() == "aς" + char + "b", repr(char)
+        for char in punctuation:
+            assert (char + "Σ").lower() == char + "σ", repr(char)
+            assert ("AΣ" + char).lower() == "aς" + char, repr(char)
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=60))
+    def test_matches_reference_definition(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["ΟΔΟΣ.", "«ΟΔΟΣ» ΣΑΣ", "ΑΣ'Β ΑΣ' 'Σ", "İSTANBUL, İ.", "ΑΣ\u0301. x", "Σ\u00a0ΑΣ\u3000Σ"],
+    )
+    def test_matches_reference_on_sigma_and_dotted_i(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestVocabulary:
@@ -157,6 +224,17 @@ class TestLoadCorpus:
         lines, blanks = read_nonblank_lines(io.StringIO("a\n\n\nb\n"))
         assert lines == [(1, "a"), (4, "b")]
         assert blanks == 2
+
+    def test_sample_corpus_matches_per_document_tokenizing(self):
+        corpus = load_corpus(SAMPLE_CORPUS)
+        lines, _ = read_nonblank_lines(SAMPLE_CORPUS)
+        expected = [Document.from_text(index, text) for index, (_, text) in enumerate(lines)]
+        assert corpus.documents == expected
+        vocabulary = corpus.vocabulary
+        assert vocabulary == build_vocabulary(expected)
+        for document in corpus.documents:
+            for token in document.tokens:
+                assert token is vocabulary.term(vocabulary.id_of(token))
 
     def test_corpus_len(self):
         assert len(load_corpus(io.StringIO("a\nb\n"))) == 2

@@ -6,10 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_tfidf, corpus_from_token_lists, random_corpus
-from una.corpus import load_corpus
+from helpers import (
+    SAMPLE_CORPUS,
+    brute_force_tfidf,
+    corpus_from_token_lists,
+    random_corpus,
+    reference_fit,
+)
+from una import tfidf
+from una.corpus import Corpus, load_corpus
 from una.tfidf import (
     ModelFormatError,
+    SentenceScores,
     TfIdfModel,
     fit,
     load_model,
@@ -103,6 +111,73 @@ class TestFit:
             two_doc_model.rank_of(99)
 
 
+def _assert_bit_equal(actual: np.ndarray, expected: np.ndarray):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual, expected) and actual.tobytes() == expected.tobytes()
+
+
+def _irregular_corpus(rng: np.random.Generator, n_docs: int) -> Corpus:
+    """Random documents with empty ones, out-of-vocabulary tokens, and
+    vocabulary terms that occur in no document."""
+    pool = [f"t{k}" for k in range(int(rng.integers(2, 40)))]
+    token_lists = []
+    for _ in range(n_docs):
+        length = int(rng.choice([0, 1, 2, 3, 8, 30], p=[0.15, 0.2, 0.2, 0.2, 0.15, 0.1]))
+        token_lists.append([pool[int(k)] for k in rng.integers(len(pool), size=length)])
+    known = [term for term in pool if rng.random() < 0.8]
+    unused = [f"unused{k}" for k in range(int(rng.integers(0, 4)))]
+    terms = known + unused
+    return corpus_from_token_lists(token_lists, [terms[int(k)] for k in rng.permutation(len(terms))])
+
+
+class TestFitChunks:
+    """The chunked fit is bit-equal to the per-document loop at every chunk
+    size, including chunk boundaries inside runs of empty documents."""
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
+    def chunk_docs(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(tfidf, "_FIT_CHUNK_DOCS", request.param)
+        return tfidf._FIT_CHUNK_DOCS
+
+    @staticmethod
+    def assert_matches_reference(corpus: Corpus):
+        model, expected = fit(corpus), reference_fit(corpus)
+        assert model.n_docs == expected.n_docs and model.vocabulary == expected.vocabulary
+        _assert_bit_equal(model.idf, expected.idf)
+        _assert_bit_equal(model.max_score, expected.max_score)
+        _assert_bit_equal(model.rank_by_score, expected.rank_by_score)
+
+    def test_random_corpora(self, chunk_docs):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            self.assert_matches_reference(_irregular_corpus(rng, int(rng.integers(1, 12))))
+
+    def test_hand_built_corner_cases(self, chunk_docs):
+        cases = [
+            # empty documents at both ends and in a run of three
+            ([[], ["a", "b"], [], [], [], ["b", "b", "c"], []], ["a", "b", "c"]),
+            # out-of-vocabulary tokens neither count as terms nor as length
+            ([["a", "oov", "b"], ["oov"], ["b", "oov", "oov", "a", "a"]], ["a", "b"]),
+            # vocabulary terms that occur in no document score zero
+            ([["b"], ["c", "b"]], ["a", "b", "c", "d"]),
+            # only empty or unknown documents
+            ([[], ["x"], []], ["a"]),
+            ([["x"], []], []),
+        ]
+        for token_lists, terms in cases:
+            self.assert_matches_reference(corpus_from_token_lists(token_lists, terms))
+
+    def test_corpus_longer_than_one_chunk(self, chunk_docs):
+        rng = np.random.default_rng(99)
+        corpus = _irregular_corpus(rng, 2 * chunk_docs + 5)
+        assert corpus.n_docs > chunk_docs
+        self.assert_matches_reference(corpus)
+
+    def test_sample_corpus(self, chunk_docs):
+        self.assert_matches_reference(load_corpus(SAMPLE_CORPUS))
+
+
 class TestSentenceScores:
     def test_empty_tokens(self, two_doc_model):
         scores = sentence_scores(two_doc_model, [])
@@ -131,6 +206,24 @@ class TestSentenceScores:
     def test_scores_non_negative(self, two_doc_model):
         scores = sentence_scores(two_doc_model, ["a", "b", "b", "c", "c", "c"])
         assert np.all(scores.scores >= 0)
+
+    def test_result_passes_direct_checks(self, two_doc_model):
+        result = sentence_scores(two_doc_model, ["c", "zzz", "b", "a", "b"])
+        assert result.term_ids.dtype == np.int64 and result.scores.dtype == np.float64
+        SentenceScores(result.term_ids, result.scores)  # raises if a check fails
+
+    @pytest.mark.parametrize(
+        "term_ids, scores",
+        [
+            ([2, 1], [0.1, 0.2]),  # unsorted
+            ([1, 1], [0.1, 0.2]),  # repeated id
+            ([0, 1], [0.1, 0.2, 0.3]),  # ragged
+            ([[0, 1], [2, 3]], [[0.1, 0.2], [0.3, 0.4]]),  # 2-D
+        ],
+    )
+    def test_direct_construction_validates(self, term_ids, scores):
+        with pytest.raises(ValueError):
+            SentenceScores(term_ids, scores)
 
 
 class TestSerialization:
