@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Compare the output bytes of two checkouts of una over a fixed matrix.
+
+    python3 scripts/output_matrix.py --base DIR --head DIR
+
+Each checkout's own `una` runs as a subprocess (`python -m una.cli` with
+that checkout's `src` on PYTHONPATH) over the same inputs:
+
+- `una fit` on data/sample_corpus.txt, on the fit-corpus input and on the
+  augment-guided model corpus, both made by bench/gen.py with seeds 1-3;
+- `una augment` on the sample corpus with the model fitted on it, seeds
+  1-20 x radius 3/50/4000 (alpha 1, batch size 16);
+- `una augment` on the augment-guided input with that seed's model and the
+  benchmark's flags, seeds 1-3;
+- the standard output of every run.
+
+That is 140 files per side. The script prints how many are identical,
+names each one that differs, and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_CORPUS = ROOT / "data" / "sample_corpus.txt"
+GEN_SEEDS = (1, 2, 3)
+SAMPLE_SEEDS = range(1, 21)
+SAMPLE_RADII = (3, 50, 4000)
+# The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
+BENCH_AUGMENT_FLAGS = [
+    "--alpha", "1", "--batch-size", "64", "--radius", "4000", "--beta", "0.5",
+    "--selection-mode", "tfidf", "--replacement-mode", "tfidf",
+]
+
+
+def make_inputs(work: Path) -> None:
+    """Write the bench/gen.py inputs of both workloads for every seed."""
+    for workload in ("fit-corpus", "augment-guided"):
+        for seed in GEN_SEEDS:
+            out = work / f"{workload}-{seed}"
+            subprocess.run(
+                [sys.executable, str(ROOT / "bench" / "gen.py"), "--workload", workload,
+                 "--seed", str(seed), "--out", str(out)],
+                check=True,
+            )
+
+
+def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
+    """(name, una arguments) of every run, each model fitted before it is
+    used; a run writes its output file to out / name."""
+    def fit(name: str, corpus: Path) -> tuple[str, list[str]]:
+        return name, ["fit", "--corpus", str(corpus), "--output", str(out / name)]
+
+    def augment(name: str, model: str, source: Path, seed: int, flags: list[str]) -> tuple[str, list[str]]:
+        return name, ["augment", "--model", str(out / model), "--input", str(source),
+                      "--output", str(out / name), "--seed", str(seed), *flags]
+
+    matrix = [fit("fit-sample", SAMPLE_CORPUS)]
+    for seed in GEN_SEEDS:
+        matrix.append(fit(f"fit-corpus-{seed}", inputs / f"fit-corpus-{seed}" / "fit_corpus.txt"))
+        matrix.append(fit(f"fit-model-{seed}", inputs / f"augment-guided-{seed}" / "model_corpus.txt"))
+    for seed in SAMPLE_SEEDS:
+        for radius in SAMPLE_RADII:
+            flags = ["--radius", str(radius), "--alpha", "1", "--batch-size", "16"]
+            matrix.append(augment(f"augment-sample-s{seed}-r{radius}", "fit-sample", SAMPLE_CORPUS, seed, flags))
+    for seed in GEN_SEEDS:
+        source = inputs / f"augment-guided-{seed}" / "augment_input.txt"
+        matrix.append(augment(f"augment-guided-{seed}", f"fit-model-{seed}", source, seed, BENCH_AUGMENT_FLAGS))
+    return matrix
+
+
+def run_checkout(checkout: Path, inputs: Path, out: Path) -> None:
+    """Run the matrix with one checkout's una; keep each run's stdout."""
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    for name, args in runs(inputs, out):
+        result = subprocess.run([sys.executable, "-m", "una.cli", *args], env=env, capture_output=True)
+        if result.returncode != 0:
+            sys.exit(f"{checkout}: una {' '.join(args)} exited {result.returncode}:\n{result.stderr.decode()}")
+        (out / f"{name}.stdout").write_bytes(result.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout whose output is the reference")
+    parser.add_argument("--head", type=Path, required=True, help="checkout to compare with it")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="una-output-matrix-") as tmp:
+        work = Path(tmp)
+        make_inputs(work / "inputs")
+        run_checkout(args.base, work / "inputs", work / "base")
+        run_checkout(args.head, work / "inputs", work / "head")
+        names = sorted(path.name for path in (work / "base").iterdir())
+        differing = [
+            name for name in names if (work / "base" / name).read_bytes() != (work / "head" / name).read_bytes()
+        ]
+    for name in differing:
+        print(f"differs: {name}")
+    print(f"{len(names) - len(differing)}/{len(names)} files identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

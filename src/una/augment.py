@@ -25,7 +25,9 @@ does not depend on the order in which a batch's sentences are processed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -350,18 +352,12 @@ def iter_negative_batches(
     """Partition documents into batches and yield negatives on schedule."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    batch: list[Document] = []
-    batch_index = 0
-    for document in documents:
-        batch.append(document)
-        if len(batch) == batch_size:
-            batch_index += 1
-            negatives = augment_batch(model, batch, config, batch_index)
-            if negatives is not None:
-                yield negatives
-            batch = []
-    if batch:
-        batch_index += 1
+    documents = iter(documents)
+    for batch_index in count(1):
+        # islice takes at most sys.maxsize items, more than any batch holds.
+        batch = list(islice(documents, min(batch_size, sys.maxsize)))
+        if not batch:
+            return
         negatives = augment_batch(model, batch, config, batch_index)
         if negatives is not None:
             yield negatives

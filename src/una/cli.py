@@ -29,11 +29,14 @@ from .tfidf import ModelFormatError, fit, load_model, save_model
 
 UNAUGMENTABLE_MARKER = "#unaugmentable"
 
+# Largest accepted --dim: the toy encoder holds dim floats per term vector.
+MAX_DIM = 4096
+
 _IO_ERRORS = (OSError, UnicodeDecodeError, CorpusDecodeError, ModelFormatError, PairsFormatError)
 
 
 class FlagError(ValueError):
-    """Bad flag or config value; maps to exit code 2."""
+    """Bad flag or config value, or an empty corpus; maps to exit code 2."""
 
 
 def _load_config_file(path: str, valid_keys: frozenset[str]) -> dict[str, str]:
@@ -92,8 +95,7 @@ def _mode(value: str) -> str:
 def cmd_fit(args) -> int:
     corpus = load_corpus(args.corpus)
     if corpus.n_docs == 0:
-        print(f"error: corpus {args.corpus} is empty", file=sys.stderr)
-        return 2
+        raise FlagError(f"corpus {args.corpus} is empty")
     model = fit(corpus)
     save_model(model, args.output)
     print(f"N={model.n_docs} m={model.m}")
@@ -118,8 +120,7 @@ def cmd_augment(args) -> int:
 
     model = load_model(args.model)
     lines, _ = read_nonblank_lines(args.input)
-    line_numbers = [number for number, _ in lines]
-    documents = [Document.from_text(index, text) for index, (_, text) in enumerate(lines)]
+    documents = [Document.from_text(number, text) for number, text in lines]
 
     emitted_batches = 0
     negatives = 0
@@ -131,7 +132,7 @@ def cmd_augment(args) -> int:
                 negatives += 1
                 fields = [
                     str(batch.batch_index),
-                    str(line_numbers[sentence.source_id]),
+                    str(sentence.source_id),
                     " ".join(sentence.tokens),
                 ]
                 if sentence.unaugmentable:
@@ -147,8 +148,8 @@ def cmd_eval(args) -> int:
     try:
         dim = _resolve(args, "dim", 256, int)
         encoder_seed = _resolve(args, "encoder_seed", 0, int)
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"--dim must be in [1, {MAX_DIM}], got {dim}")
         if encoder_seed < 0:
             raise ValueError(f"encoder-seed must be >= 0, got {encoder_seed}")
     except ValueError as exc:
@@ -167,8 +168,8 @@ def cmd_loss_demo(args) -> int:
         tau = _resolve(args, "tau", 0.05, float)
         seed = _resolve(args, "seed", 0, int)
         dim = _resolve(args, "dim", 256, int)
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"--dim must be in [1, {MAX_DIM}], got {dim}")
         batch_size = _resolve(args, "batch_size", 64, int)
         if batch_size < 2:
             raise ValueError(f"batch-size must be >= 2 for the loss demo, got {batch_size}")
@@ -183,8 +184,7 @@ def cmd_loss_demo(args) -> int:
 
     corpus = load_corpus(args.corpus)
     if corpus.n_docs == 0:
-        print(f"error: corpus {args.corpus} is empty", file=sys.stderr)
-        return 2
+        raise FlagError(f"corpus {args.corpus} is empty")
     model = fit(corpus)
     pair_set = load_pairs(args.pairs)
     if len(pair_set) < 2:
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", parents=[common], help="score sentence pairs against gold labels")
     eval_p.add_argument("--pairs", required=True, help="sentence_a<TAB>sentence_b<TAB>gold file")
     eval_p.add_argument("--model", required=True, help="fitted model file (provides the vocabulary)")
-    eval_p.add_argument("--dim", type=int, help="toy encoder dimension (default 256)")
+    eval_p.add_argument("--dim", type=int, help=f"toy encoder dimension, at most {MAX_DIM} (default 256)")
     eval_p.add_argument("--encoder-seed", type=int, dest="encoder_seed", help="encoder seed (default 0)")
     eval_p.set_defaults(handler=cmd_eval)
 
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p.add_argument("--pairs", required=True, help="anchor<TAB>positive file")
     demo_p.add_argument("--tau", type=float, help="temperature (default 0.05)")
     demo_p.add_argument("--seed", type=int, help="seed for encoder and augmentation (default 0)")
-    demo_p.add_argument("--dim", type=int, help="toy encoder dimension (default 256)")
+    demo_p.add_argument("--dim", type=int, help=f"toy encoder dimension, at most {MAX_DIM} (default 256)")
     demo_p.add_argument("--batch-size", type=int, dest="batch_size", help="batch size (default 64)")
     demo_p.add_argument("--beta", type=float, help="replacement magnitude (default 0.5)")
     demo_p.add_argument("--radius", type=int, help="candidate rank radius (default 4000)")

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +120,7 @@ class Vocabulary:
 
 @dataclass
 class Document:
-    """One sentence of the corpus; tokens are exactly tokenize(raw)."""
+    """One sentence to augment; tokens are exactly tokenize(raw)."""
 
     doc_id: int
     raw: str
@@ -130,64 +133,68 @@ class Document:
 
 @dataclass
 class Corpus:
-    """An ordered document collection plus the vocabulary over its tokens."""
+    """Documents as rows of int64 vocabulary ids: row i is term_ids[indptr[i]:indptr[i + 1]]."""
 
-    documents: list[Document] = field(default_factory=list)
-    vocabulary: Vocabulary = field(default_factory=Vocabulary)
+    vocabulary: Vocabulary
+    indptr: np.ndarray
+    term_ids: np.ndarray
+
+    def __post_init__(self):
+        try:
+            indptr = self.indptr = np.asarray(self.indptr, dtype=np.int64)
+            term_ids = self.term_ids = np.asarray(self.term_ids, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"corpus offsets and term ids must fit in int64: {exc}") from None
+        if (
+            indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+            or indptr[-1] != term_ids.size or np.any(np.diff(indptr) < 0)
+        ):
+            raise ValueError("indptr must be non-decreasing row offsets from 0 to len(term_ids)")
+        m = len(self.vocabulary)
+        if term_ids.ndim != 1 or (term_ids.size and not 0 <= term_ids.min() <= term_ids.max() < m):
+            raise ValueError(f"term_ids must be a 1-D array of ids in [0, {m})")
 
     @property
     def n_docs(self) -> int:
-        return len(self.documents)
+        return self.indptr.size - 1
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return self.n_docs
 
 
 def _iter_raw_lines(source) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, text) for every line of a UTF-8 source.
+    """Yield (line_number, text) for each line of a path, or of a stream or
+    other iterable of lines as a file yields them, one line at a time.
 
-    Accepts a path, a binary stream, a text stream, or an iterable of
-    decoded lines. Byte sources are decoded line by line so that decode
-    failures can report the exact byte offset.
+    Bytes are decoded per line, so a decode failure reports its exact byte
+    offset. Text excludes the newline and the carriage returns before it;
+    an unterminated last line that is empty without them is no line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             yield from _iter_raw_lines(handle)
         return
-
-    first = getattr(source, "read", None)
-    if first is not None:
-        data = source.read()
-    else:
-        data = source
-
-    if isinstance(data, bytes):
-        offset = 0
-        for number, raw in enumerate(data.split(b"\n"), start=1):
+    offset = 0
+    for number, line in enumerate(source, start=1):
+        ended = line.endswith(b"\n" if isinstance(line, bytes) else "\n")
+        # The newline goes before decoding: a sequence cut short by it is
+        # "unexpected end of data", not "invalid continuation byte".
+        text = line[:-1] if ended else line
+        if isinstance(text, bytes):
             try:
-                text = raw.decode("utf-8")
+                text = text.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusDecodeError(number, offset + exc.start, exc.reason) from exc
-            yield number, text.rstrip("\r")
-            offset += len(raw) + 1
-    elif isinstance(data, str):
-        for number, text in enumerate(data.split("\n"), start=1):
-            yield number, text.rstrip("\r")
-    else:
-        for number, text in enumerate(data, start=1):
-            yield number, str(text).rstrip("\r\n").rstrip("\r")
+            offset += len(line)
+        text = text.rstrip("\r")
+        if text or ended:
+            yield number, text
 
 
 def read_nonblank_lines(source) -> tuple[list[tuple[int, str]], int]:
-    """Collect (line_number, text) for non-empty lines; count blanks.
-
-    A final empty piece produced by a trailing newline is not counted as a
-    blank line.
-    """
+    """Collect (line_number, text) for non-empty lines; count blanks."""
     lines = list(_iter_raw_lines(source))
-    if lines and lines[-1][1] == "":
-        lines.pop()
-    kept = [(number, text) for number, text in lines if text != ""]
+    kept = [(number, text) for number, text in lines if text]
     return kept, len(lines) - len(kept)
 
 
@@ -200,25 +207,30 @@ def build_vocabulary(documents: Iterable[Document]) -> Vocabulary:
     return vocabulary
 
 
+class _TermIds(dict):
+    """Term -> id map that gives an unseen term the next id on lookup."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = term_id = len(self)
+        return term_id
+
+
 def load_corpus(source) -> Corpus:
-    """Load a one-sentence-per-line corpus.
+    """Load a one-sentence-per-line corpus, tokenizing each line into ids as it is read.
 
     Blank lines are skipped (they carry nothing to score or replace) and
-    counted in a single warning. Document ids are dense over the kept lines.
-    The vocabulary is built in the tokenizing pass, ids in first-occurrence
-    order as build_vocabulary gives them, and every token is the
-    vocabulary's own string object for its term, so the corpus holds one
-    string per distinct term rather than one per token.
+    counted in a single warning; the kept lines are the rows, in order.
+    Term ids are in first-occurrence order, as build_vocabulary gives them.
     """
-    lines, skipped = read_nonblank_lines(source)
+    ids = _TermIds()
+    term_ids, indptr = array("q"), array("q", [0])
+    number = 0
+    for number, text in _iter_raw_lines(source):
+        if text:
+            term_ids.extend(map(ids.__getitem__, tokenize(text)))
+            indptr.append(len(term_ids))
+    # Line numbers run from 1 with none left out, so the last one counts the lines.
+    skipped = number - (len(indptr) - 1)
     if skipped:
         logger.warning("skipped %d blank line(s)", skipped)
-    # Insertion order is first occurrence; each value is the first-seen
-    # object for its term.
-    terms: dict[str, str] = {}
-    intern = terms.setdefault
-    documents = []
-    for index, (_, text) in enumerate(lines):
-        tokens = tokenize(text)
-        documents.append(Document(index, text, list(map(intern, tokens, tokens))))
-    return Corpus(documents, Vocabulary(terms))
+    return Corpus(Vocabulary(ids), np.frombuffer(indptr, np.int64), np.frombuffer(term_ids, np.int64))

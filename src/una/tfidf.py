@@ -20,7 +20,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -122,10 +121,9 @@ def _term_frequencies(vocabulary: Vocabulary, tokens: Iterable[str]) -> tuple[li
 def fit(corpus: Corpus) -> TfIdfModel:
     """Fit idf and per-term maximum tf-idf scores over a corpus.
 
-    Documents are counted _FIT_CHUNK_DOCS at a time, so temporary memory
-    is bounded by the chunk, not the corpus. Each chunk becomes one flat
-    term-id array (out-of-vocabulary tokens are skipped and do not count
-    toward a document's length); np.unique over doc * m + term gives every
+    Documents are counted _FIT_CHUNK_DOCS rows at a time, so temporary
+    memory is bounded by the chunk, not the corpus. A chunk is one slice of
+    the corpus's term ids; np.unique over doc * m + term gives every
     (document, term) count, which adds to the document frequencies and
     raises each term's largest tf. max_score is that tf times idf, which
     equals the largest tf * idf because idf >= 0 and rounded products are
@@ -136,21 +134,14 @@ def fit(corpus: Corpus) -> TfIdfModel:
         raise ValueError("cannot fit a TF-IDF model on an empty corpus")
     m = len(corpus.vocabulary)
     n_docs = corpus.n_docs
-    # The dict's own get runs without a Python frame per token.
-    lookup = corpus.vocabulary._ids.get
-
     doc_freq = np.zeros(m, dtype=np.int64)
     max_tf = np.zeros(m, dtype=np.float64)
     for start in range(0, n_docs, _FIT_CHUNK_DOCS):
-        chunk = corpus.documents[start : start + _FIT_CHUNK_DOCS]
-        tokens = list(chain.from_iterable(document.tokens for document in chunk))
-        ids = np.fromiter(map(lookup, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
-        docs = np.repeat(np.arange(len(chunk)), [len(document.tokens) for document in chunk])
-        known = ids >= 0
-        ids, docs = ids[known], docs[known]
-        keys, counts = np.unique(docs * m + ids, return_counts=True)
+        bounds = corpus.indptr[start : start + _FIT_CHUNK_DOCS + 1]
+        lengths = np.diff(bounds)
+        docs = np.repeat(np.arange(lengths.size), lengths)
+        keys, counts = np.unique(docs * m + corpus.term_ids[bounds[0] : bounds[-1]], return_counts=True)
         terms = keys % m
-        lengths = np.bincount(docs, minlength=len(chunk))
         # Sentences are short, so the ratios c/n take few distinct values
         # and math.log1p (see the module docstring) runs once per value.
         ratios, inverse = np.unique(counts / lengths[keys // m], return_inverse=True)

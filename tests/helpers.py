@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from una.corpus import Corpus, Document, Vocabulary, build_vocabulary
+from una.corpus import Corpus, CorpusDecodeError, Document, Vocabulary
 from una.tfidf import TfIdfModel, _term_frequencies
 
 
@@ -41,8 +41,8 @@ def reference_fit(corpus: Corpus) -> TfIdfModel:
     n_docs = corpus.n_docs
     doc_freq = [0] * m
     max_tf = [0.0] * m
-    for document in corpus.documents:
-        for term_id, value in zip(*_term_frequencies(corpus.vocabulary, document.tokens)):
+    for tokens in corpus_token_lists(corpus):
+        for term_id, value in zip(*_term_frequencies(corpus.vocabulary, tokens)):
             doc_freq[term_id] += 1
             if value > max_tf[term_id]:
                 max_tf[term_id] = value
@@ -50,19 +50,60 @@ def reference_fit(corpus: Corpus) -> TfIdfModel:
     return TfIdfModel(corpus.vocabulary, n_docs, idf_values, np.array(max_tf) * idf_values)
 
 
+def reference_read_lines(source) -> tuple[list[tuple[int, str]], int]:
+    """The reader that the streaming one replaced, as read_nonblank_lines
+    gave it: read the whole stream, split it on newlines, decode each
+    piece, strip trailing carriage returns, drop a final empty piece, and
+    keep the non-empty lines with their numbers plus the count of blanks."""
+    data = source.read()
+    if isinstance(data, bytes):
+        pieces, offset = [], 0
+        for number, raw in enumerate(data.split(b"\n"), start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusDecodeError(number, offset + exc.start, exc.reason) from exc
+            pieces.append(text.rstrip("\r"))
+            offset += len(raw) + 1
+    else:
+        pieces = [text.rstrip("\r") for text in data.split("\n")]
+    if pieces and pieces[-1] == "":
+        pieces.pop()
+    kept = [(number, text) for number, text in enumerate(pieces, start=1) if text]
+    return kept, len(pieces) - len(kept)
+
+
 SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.txt"
 
 
 def corpus_from_token_lists(token_lists, vocabulary_terms=None) -> Corpus:
     """Corpus over the given tokens; a hand-picked vocabulary may leave out
-    some of them or add terms that no document uses."""
-    documents = [
-        Document(index, " ".join(tokens), list(tokens))
-        for index, tokens in enumerate(token_lists)
-    ]
+    some of them or add terms that no document uses. Tokens outside the
+    vocabulary are left out of their row, as fit and sentence_scores
+    leave them out of a sentence's terms and length."""
     if vocabulary_terms is None:
-        return Corpus(documents, build_vocabulary(documents))
-    return Corpus(documents, Vocabulary(vocabulary_terms))
+        vocabulary = Vocabulary(token for tokens in token_lists for token in tokens)
+    else:
+        vocabulary = Vocabulary(vocabulary_terms)
+    rows = [[vocabulary.get(t) for t in tokens if t in vocabulary] for tokens in token_lists]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return Corpus(vocabulary, indptr, [term_id for row in rows for term_id in row])
+
+
+def corpus_token_lists(corpus: Corpus) -> list[list[str]]:
+    """Each document (row) of a corpus as its list of terms."""
+    terms, bounds, ids = corpus.vocabulary.terms, corpus.indptr.tolist(), corpus.term_ids.tolist()
+    return [[terms[i] for i in ids[start:end]] for start, end in zip(bounds, bounds[1:])]
+
+
+def corpus_documents(corpus: Corpus) -> list[Document]:
+    """Each document of a corpus as an augmentation input, ids from 0.
+    The raw text is the terms joined by spaces, which tokenizes back to
+    them."""
+    return [
+        Document(index, " ".join(tokens), tokens)
+        for index, tokens in enumerate(corpus_token_lists(corpus))
+    ]
 
 
 def brute_force_tfidf(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -70,19 +111,20 @@ def brute_force_tfidf(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     n_docs = corpus.n_docs
     m = len(corpus.vocabulary)
     doc_freq = np.zeros(m)
-    for document in corpus.documents:
-        for term in set(document.tokens):
+    documents = corpus_token_lists(corpus)
+    for tokens in documents:
+        for term in set(tokens):
             doc_freq[corpus.vocabulary.id_of(term)] += 1
     idf = np.zeros(m)
     for j in range(m):
         if doc_freq[j] > 0:
             idf[j] = -math.log(doc_freq[j] / n_docs)
     matrix = np.zeros((n_docs, m))
-    for i, document in enumerate(corpus.documents):
-        n = len(document.tokens)
+    for i, tokens in enumerate(documents):
+        n = len(tokens)
         if n == 0:
             continue
-        for term in document.tokens:
+        for term in tokens:
             j = corpus.vocabulary.id_of(term)
             matrix[i, j] += 1
         for j in range(m):

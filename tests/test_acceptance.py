@@ -12,7 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import brute_force_tfidf, random_corpus, spearman_oracle, synthetic_model, zipf_corpus
+from helpers import (
+    brute_force_tfidf,
+    corpus_documents,
+    random_corpus,
+    spearman_oracle,
+    synthetic_model,
+    zipf_corpus,
+)
 from una.augment import (
     AugmentationConfig,
     _unclamped_probabilities,
@@ -107,9 +114,10 @@ def test_c04_at_least_one_replacement():
         model = fit(corpus)
         config = AugmentationConfig(alpha=1, seed=104)
         unchanged = 0
+        documents = corpus_documents(corpus)
         for batch_index in range(1, 11):
-            batch = augment_batch(model, corpus.documents, config, batch_index)
-            for document, sentence in zip(corpus.documents, batch.sentences):
+            batch = augment_batch(model, documents, config, batch_index)
+            for document, sentence in zip(documents, batch.sentences):
                 assert not sentence.unaugmentable
                 if sentence.tokens == document.tokens:
                     unchanged += 1
@@ -176,7 +184,7 @@ def test_c07_selection_bias_direction():
             config = AugmentationConfig(seed=107, selection_mode=selection_mode)
             xs = []
             ys = []
-            for index, document in enumerate(corpus.documents):
+            for index, document in enumerate(corpus_documents(corpus)):
                 scores = sentence_scores(model, document.tokens)
                 ranks = average_ranks(scores.scores)
                 replaced = np.zeros(scores.n_terms)
@@ -249,7 +257,7 @@ def test_c10_schedule_arithmetic():
         corpus = zipf_corpus(rng, n_sentences=40, vocab_size=60, terms_per_sentence=5)
         model = fit(corpus)
 
-        documents = [Document(i, d.raw, list(d.tokens)) for i, d in enumerate(corpus.documents * 8)]
+        documents = [Document(i, d.raw, list(d.tokens)) for i, d in enumerate(corpus_documents(corpus) * 8)]
         assert len(documents) == 320
         config = AugmentationConfig(alpha=5, seed=110)
         batches = list(iter_negative_batches(model, documents, config, 64))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_from_token_lists, synthetic_model, zipf_corpus
+from helpers import corpus_documents, corpus_from_token_lists, synthetic_model, zipf_corpus
 from una.augment import (
     AugmentationConfig,
     EmptySentenceError,
@@ -386,15 +386,16 @@ class TestAugmentSentence:
 class TestAugmentBatch:
     def test_emits_on_schedule(self, small_model, small_corpus):
         config = AugmentationConfig(alpha=5, seed=1)
-        docs = small_corpus.documents
+        docs = corpus_documents(small_corpus)
         assert augment_batch(small_model, docs, config, 5) is not None
         assert augment_batch(small_model, docs, config, 3) is None
         assert augment_batch(small_model, docs, config, 10) is not None
 
     def test_batch_size_preserved(self, small_model, small_corpus):
         config = AugmentationConfig(alpha=1, seed=1)
-        batch = augment_batch(small_model, small_corpus.documents, config, 1)
-        assert len(batch) == len(small_corpus.documents)
+        docs = corpus_documents(small_corpus)
+        batch = augment_batch(small_model, docs, config, 1)
+        assert len(batch) == len(docs)
         assert batch.batch_index == 1
 
     def test_empty_batch_rejected(self, small_model):
@@ -403,7 +404,7 @@ class TestAugmentBatch:
 
     def test_batch_index_one_based(self, small_model, small_corpus):
         with pytest.raises(ValueError):
-            augment_batch(small_model, small_corpus.documents, AugmentationConfig(), 0)
+            augment_batch(small_model, corpus_documents(small_corpus), AugmentationConfig(), 0)
 
     def test_alpha_one_yields_every_batch(self, small_model):
         docs = [Document.from_text(i, "a b c") for i in range(70)]
@@ -411,6 +412,12 @@ class TestAugmentBatch:
         batches = list(iter_negative_batches(small_model, docs, config, 10))
         assert len(batches) == 7
         assert sum(len(b) for b in batches) == 70
+
+    def test_batch_size_beyond_any_input(self, small_model):
+        docs = [Document.from_text(i, "a b c") for i in range(5)]
+        config = AugmentationConfig(alpha=1, seed=2)
+        batches = list(iter_negative_batches(small_model, docs, config, 2**70))
+        assert [len(b) for b in batches] == [5]
 
     def test_schedule_320_sentences(self, small_model):
         docs = [Document.from_text(i, "a b c") for i in range(320)]
@@ -425,7 +432,7 @@ class TestAugmentBatch:
         # augmenting the batch back to front reproduces augment_batch.
         corpus = zipf_corpus(np.random.default_rng(4), n_sentences=200, vocab_size=120)
         model = fit(corpus)
-        docs = corpus.documents[:24]
+        docs = corpus_documents(corpus)[:24]
         config = AugmentationConfig(alpha=3, radius=20, seed=21)
         batch = augment_batch(model, docs, config, 6)
         reverse = {
@@ -450,7 +457,7 @@ class TestSelectionBias:
         config = AugmentationConfig(seed=23)
         low_rate = []
         high_rate = []
-        for index, document in enumerate(corpus.documents):
+        for index, document in enumerate(corpus_documents(corpus)):
             scores = sentence_scores(model, document.tokens)
             if np.ptp(scores.scores) == 0:
                 continue

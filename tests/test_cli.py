@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from una.cli import main
+from una import cli
+from una.cli import MAX_DIM, main
 from una.corpus import load_corpus
 from una.tfidf import fit, load_model
 
@@ -107,16 +110,24 @@ class TestAugment:
         main(["augment", "--model", str(model_file), "--input", str(source), "--output", str(out2), *flags])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_deterministic_across_thread_counts(self, tmp_path, model_file):
-        source = self.make_input(tmp_path, 64)
+    def test_identical_across_line_endings(self, tmp_path, model_file):
+        lines = [f"a b b c{'c' if i % 2 else ''}" for i in range(64)]
+        lines[10] = ""  # a blank line, so the reported line numbers matter
         flags = ["--alpha", "1", "--batch-size", "16", "--seed", "42"]
         outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"threads{threads}.tsv"
+        for name, text in (
+            ("lf", "\n".join(lines) + "\n"),
+            ("crlf", "\r\n".join(lines) + "\r\n"),
+            ("no-final-newline", "\n".join(lines)),
+        ):
+            source = tmp_path / f"{name}.txt"
+            source.write_bytes(text.encode("utf-8"))
+            out = tmp_path / f"{name}.tsv"
             rc = main(["augment", "--model", str(model_file), "--input", str(source), "--output", str(out), *flags])
             assert rc == 0
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == 63
 
     @pytest.mark.parametrize(
         "flags",
@@ -391,6 +402,163 @@ class TestConfigFile:
         rc = main(["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs), "--config", str(config)])
         assert rc == 2
         assert "unknown key 'with-una'" in capsys.readouterr().err
+
+
+class TestDimCap:
+    """--dim sizes every term vector, so a value above MAX_DIM exits 2
+    before any input file is read or any encoder is built."""
+
+    class Built(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_encoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise TestDimCap.Built
+
+        monkeypatch.setattr(cli, "ToyEncoder", refuse)
+
+    @staticmethod
+    def argv(command, files, dim_flags):
+        if command == "eval":
+            return ["eval", "--pairs", str(files[0]), "--model", str(files[1]), *dim_flags]
+        return ["loss-demo", "--corpus", str(files[0]), "--pairs", str(files[1]), *dim_flags]
+
+    @pytest.mark.parametrize("command", ["eval", "loss-demo"])
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**9])
+    def test_too_large_exits_2_before_reading_files(self, tmp_path, capsys, command, dim):
+        missing = [tmp_path / "missing1", tmp_path / "missing2"]  # reading either would exit 1
+        assert main(self.argv(command, missing, ["--dim", str(dim)])) == 2
+        err = capsys.readouterr().err
+        assert f"--dim must be in [1, {MAX_DIM}], got {dim}" in err
+
+    @pytest.mark.parametrize("command", ["eval", "loss-demo"])
+    def test_config_value_is_capped(self, tmp_path, capsys, command):
+        config = tmp_path / "una.conf"
+        config.write_text(f"dim={10**9}\n", encoding="utf-8")
+        missing = [tmp_path / "missing1", tmp_path / "missing2"]
+        assert main(self.argv(command, missing, ["--config", str(config)])) == 2
+        assert "--dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "loss-demo"])
+    def test_cap_is_accepted(self, tmp_path, command):
+        corpus = tmp_path / "corpus.txt"
+        write_lines(corpus, ["a b c", "b c d"])
+        pairs = tmp_path / "pairs.tsv"
+        gold = ["\t1.0", "\t2.0"] if command == "eval" else ["", ""]
+        write_lines(pairs, ["a b\ta c" + gold[0], "b c\tb d" + gold[1]])
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--corpus", str(corpus), "--output", str(model)]) == 0
+        files = [pairs, model] if command == "eval" else [corpus, pairs]
+        with pytest.raises(TestDimCap.Built):
+            main(self.argv(command, files, ["--dim", str(MAX_DIM)]))
+
+
+# A valid model, and near misses of its format: headers, term lines and
+# rank lines that each break one rule. A fuzzed model is the valid one
+# with up to two lines replaced by near misses, or arbitrary bytes.
+_VALID_MODEL = ["UNA-TFIDF v1 N=2 m=3", "a\t0.0\t0.0", "b\t0.5\t0.25", "c\t0.5\t0.5", "ranks:", "0 1 2"]
+_NEAR_MISSES = [
+    "UNA-TFIDF v1 N=1 m=1", "UNA-TFIDF v1 N=0 m=3", "UNA-TFIDF v1 N=2 m=0", "UNA-TFIDF v2 N=2 m=3",
+    "UNA-TFIDF v1 N=2 m=-1", "UNA-TFIDF v1 N=2 m=3 ", "una-tfidf v1 N=2 m=3", "UNA-TFIDF v1 N=\u00b2 m=3",
+    "a\t0.5", "A\t1\t1", "a b\t1\t1", "d\tnan\t0", "e\t-1\t0", "f\t1e309\t0", "\t1\t1",
+    "g\t1\t1\tx", "h.\t1\t1", "\u00b2\t1\t1", "b\t0.5\t0.25",
+    "ranks", "RANKS:", "0 1", "2 1 0", "0 0 1", "1 0 2", "0 1 \u00b2", "0 -1 2", "0 1 9", "0 1 2 3", "",
+]
+
+
+@st.composite
+def _model_text(draw):
+    lines = list(_VALID_MODEL)
+    for _ in range(draw(st.integers(0, 2))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_NEAR_MISSES))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+_WORDS = ["a", "b", "c", "zz", "A.", "x-1", "", " ", "é", "\u2028", "\ufeff", "0.5", "3", "-1", "nan", "inf"]
+_text_lines = st.lists(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map("".join),
+    max_size=8,
+).map(lambda lines: "\n".join(lines))
+_side = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+_gold = st.sampled_from(["0", "0.5", "3", "-1", "nan", "inf", "1e309", "x", ""])
+_two_columns = st.tuples(_side, _side).map("\t".join)  # anchor, positive
+_three_columns = st.tuples(_side, _side, _gold).map("\t".join)  # sentence, sentence, gold
+_any_columns = st.lists(_side, min_size=1, max_size=4).map("\t".join)
+
+
+def _pair_lines(line):
+    return st.lists(st.one_of(line, line, line, _any_columns), max_size=6).map(
+        lambda lines: "\n".join(lines) + "\n"
+    )
+
+
+_file_bytes = st.one_of(
+    st.binary(max_size=48),
+    _text_lines.map(str.encode),
+    _pair_lines(_any_columns).map(str.encode),
+    st.tuples(_text_lines, st.binary(max_size=4)).map(lambda parts: parts[0].encode() + parts[1]),
+)
+# Config keys of every subcommand and some that none has; "dim" is left
+# out because it sizes the encoder's vectors.
+_CONFIG_KEYS = [
+    "beta", "radius", "alpha", "seed", "batch-size", "selection-mode", "replacement-mode", "tau",
+    "encoder-seed", "betta", "output", "with-una", "config",
+]
+_CONFIG_VALUES = [
+    "0", "1", "2", "0.5", "-1", "nan", "inf", "x", "tfidf", "random", "", "1e309", "99999999999999999999",
+]
+_config_text = st.lists(
+    st.one_of(
+        st.builds("{}={}".format, st.sampled_from(_CONFIG_KEYS), st.sampled_from(_CONFIG_VALUES)),
+        st.sampled_from(["# comment", "no-equals", "=1", " alpha = 1 "]),
+    ),
+    max_size=4,
+).map(lambda lines: "\n".join(lines) + "\n")
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand with fuzzed input files: (argv, {file name: bytes})."""
+    command = draw(st.sampled_from(["fit", "augment", "eval", "loss-demo"]))
+    model = draw(st.one_of(_model_text().map(str.encode), _model_text().map(str.encode), _file_bytes))
+    files = {
+        "model": model,
+        "corpus": draw(st.one_of(_text_lines.map(str.encode), _file_bytes)),
+        "input": draw(st.one_of(_text_lines.map(str.encode), _file_bytes)),
+        "pairs": draw(st.one_of(
+            _pair_lines(_three_columns if command == "eval" else _two_columns).map(str.encode), _file_bytes
+        )),
+        "config": draw(_config_text).encode("utf-8"),
+    }
+    flags = {
+        "fit": ["--corpus", "corpus", "--output", "out"],
+        "augment": ["--model", "model", "--input", "input", "--output", "out", "--alpha", "1"],
+        "eval": ["--pairs", "pairs", "--model", "model"],
+        "loss-demo": ["--corpus", "corpus", "--pairs", "pairs"],
+    }[command]
+    if draw(st.booleans()):
+        flags += ["--config", "config"]
+    return [command, *flags], files
+
+
+class TestExitCodeContract:
+    """Whatever the input files hold, every subcommand exits 0-3 without a
+    traceback. No fuzzed number sizes an allocation: model sizes are
+    checked against the file's length before anything is allocated, and
+    --dim is never set."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(invocation=_invocations())
+    def test_fuzzed_files(self, tmp_path, capsys, invocation):
+        argv, files = invocation
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        paths = {name: str(tmp_path / name) for name in [*files, "out"]}
+        code = main([paths.get(arg, arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (code, err)
+        assert "Traceback" not in err
 
 
 class TestParser:

@@ -4,11 +4,17 @@ import io
 import sys
 import unicodedata
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_CORPUS, reference_tokenize
+from helpers import (
+    SAMPLE_CORPUS,
+    corpus_token_lists,
+    reference_read_lines,
+    reference_tokenize,
+)
 from una.corpus import (
     Corpus,
     CorpusDecodeError,
@@ -195,16 +201,17 @@ class TestLoadCorpus:
 
     def test_document_ids_dense_and_tokens_normalized(self):
         corpus = load_corpus(io.StringIO("Hello there!\nSecond LINE.\n"))
-        assert [d.doc_id for d in corpus.documents] == [0, 1]
-        assert corpus.documents[0].tokens == ["hello", "there"]
-        assert corpus.documents[1].tokens == tokenize(corpus.documents[1].raw)
+        assert corpus.indptr.tolist() == [0, 2, 4]
+        assert corpus.term_ids.tolist() == [0, 1, 2, 3]
+        assert corpus_token_lists(corpus) == [["hello", "there"], tokenize("Second LINE.")]
 
     def test_round_trip(self):
         text = "Alpha beta.\ngamma ALPHA\nx-45c here\n"
         corpus = load_corpus(io.StringIO(text))
-        dumped = "".join(d.raw + "\n" for d in corpus.documents)
+        dumped = "".join(" ".join(tokens) + "\n" for tokens in corpus_token_lists(corpus))
         again = load_corpus(io.StringIO(dumped))
-        assert again.documents == corpus.documents
+        assert np.array_equal(again.indptr, corpus.indptr)
+        assert np.array_equal(again.term_ids, corpus.term_ids)
         assert again.vocabulary == corpus.vocabulary
 
     def test_loads_from_path(self, tmp_path):
@@ -229,13 +236,107 @@ class TestLoadCorpus:
         corpus = load_corpus(SAMPLE_CORPUS)
         lines, _ = read_nonblank_lines(SAMPLE_CORPUS)
         expected = [Document.from_text(index, text) for index, (_, text) in enumerate(lines)]
-        assert corpus.documents == expected
-        vocabulary = corpus.vocabulary
-        assert vocabulary == build_vocabulary(expected)
-        for document in corpus.documents:
-            for token in document.tokens:
-                assert token is vocabulary.term(vocabulary.id_of(token))
+        assert corpus_token_lists(corpus) == [document.tokens for document in expected]
+        assert corpus.vocabulary == build_vocabulary(expected)
+        assert corpus.indptr.dtype == corpus.term_ids.dtype == np.int64
 
     def test_corpus_len(self):
         assert len(load_corpus(io.StringIO("a\nb\n"))) == 2
         assert isinstance(load_corpus(io.StringIO("a\n")), Corpus)
+
+
+class TestCorpusLayout:
+    vocabulary = Vocabulary(["a", "b", "c"])
+
+    def test_hand_built_rows(self):
+        corpus = Corpus(self.vocabulary, [0, 2, 2, 3], [0, 1, 2])
+        assert corpus.n_docs == len(corpus) == 3
+        assert corpus.indptr.dtype == corpus.term_ids.dtype == np.int64
+        assert corpus_token_lists(corpus) == [["a", "b"], [], ["c"]]
+        assert Corpus(Vocabulary(), [0], []).n_docs == 0
+
+    @pytest.mark.parametrize(
+        "indptr, term_ids",
+        [
+            ([[0, 1]], [0]),  # indptr not 1-D
+            ([], []),  # no leading offset
+            ([1, 2], [0, 1]),  # does not start at 0
+            ([0, 2, 1, 3], [0, 1, 2]),  # decreases
+            ([0, 2], [0, 1, 2]),  # ends before len(term_ids)
+            ([0, 4], [0, 1, 2]),  # ends after len(term_ids)
+            ([0, 2], [0, -1]),  # id below 0
+            ([0, 2], [0, 3]),  # id == m would collide with the next document's keys in fit
+            ([0, 1], [2**70]),  # id beyond int64
+            ([0, 2], [[0, 1]]),  # term_ids not 1-D
+        ],
+    )
+    def test_malformed_rejected(self, indptr, term_ids):
+        with pytest.raises(ValueError):
+            Corpus(self.vocabulary, indptr, term_ids)
+
+
+# Byte pieces where a streaming reader could part from the split-based one:
+# line ends, a lone \r, tabs, an invalid byte, UTF-8 sequences cut short
+# (also by a newline), U+0085 and U+2028 (line breaks to str.splitlines,
+# not to the reader), surrogates and code points beyond U+10FFFF.
+_BYTE_PIECES = [
+    b"a", b"b c", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\xff", b"\xe2\x82", b"\xe2\x82\xac",
+    b"\xc3", b"\xc3\xa9", b"\xc2\x85", b"\xe2\x80\xa8", b"\xed\xa0\x80", b"\xf4\x90\x80\x80",
+]
+_TEXT_PIECES = ["a", "b c", " ", "\t", "\n", "\r", "\r\n", "\x85", "\u2028", "\u2029", "\x0b", "\x1c", "é"]
+
+
+def _outcome(reader, source):
+    try:
+        return reader(source)
+    except CorpusDecodeError as exc:
+        return ("CorpusDecodeError", exc.line_number, exc.byte_offset, str(exc))
+
+
+class TestReaderOracle:
+    """The streaming reader gives what the split-based reader gave: the
+    same lines, blank counts and decode errors (line, offset, reason)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_BYTE_PIECES), max_size=12).map(b"".join))
+    @example(b"a\n\r")  # unterminated last line, empty without its \r
+    @example(b"\r")
+    @example(b"ok\n\xe2\x82\nmore")  # sequence cut short by the newline
+    @example(b"ok\n\xe2\x82")
+    @example(b"a\r\n\r\n\n")
+    def test_bytes(self, data):
+        expected = _outcome(reference_read_lines, io.BytesIO(data))
+        assert _outcome(read_nonblank_lines, io.BytesIO(data)) == expected
+        if expected[0] != "CorpusDecodeError":
+            assert load_corpus(io.BytesIO(data)).n_docs == len(expected[0])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join))
+    @example("a\n\r")
+    @example("\r")
+    def test_text(self, text):
+        assert read_nonblank_lines(io.StringIO(text)) == reference_read_lines(io.StringIO(text))
+
+    @pytest.mark.parametrize("data", [b"a\n\r", b"\r", b"ok\n\xe2\x82\nx", b"x\n\n\r\n \n", b""])
+    def test_path(self, tmp_path, data):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(data)
+        assert _outcome(read_nonblank_lines, path) == _outcome(reference_read_lines, io.BytesIO(data))
+
+    def test_cut_sequence_reason(self):
+        with pytest.raises(CorpusDecodeError, match="unexpected end of data") as err:
+            read_nonblank_lines(io.BytesIO(b"ok\n\xe2\x82\nmore\n"))
+        assert (err.value.line_number, err.value.byte_offset) == (2, 3)
+
+    def test_reads_one_line_at_a_time(self):
+        class Lines:
+            """A line iterable whose read() must not be called."""
+
+            def __iter__(self):
+                yield from (b"a b\n", b"\n", b"c\n")
+
+            def read(self):
+                raise AssertionError("the whole stream was read")
+
+        assert read_nonblank_lines(Lines()) == ([(1, "a b"), (3, "c")], 1)
+        assert load_corpus(Lines()).indptr.tolist() == [0, 2, 3]

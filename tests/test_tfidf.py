@@ -10,6 +10,7 @@ from helpers import (
     SAMPLE_CORPUS,
     brute_force_tfidf,
     corpus_from_token_lists,
+    corpus_token_lists,
     random_corpus,
     reference_fit,
 )
@@ -88,8 +89,8 @@ class TestFit:
         corpus = random_corpus(rng, max_docs=15, max_terms=20)
         model = fit(corpus)
         doc_freq = np.zeros(len(corpus.vocabulary))
-        for document in corpus.documents:
-            for term in set(document.tokens):
+        for tokens in corpus_token_lists(corpus):
+            for term in set(tokens):
                 doc_freq[corpus.vocabulary.id_of(term)] += 1
         for u in range(len(doc_freq)):
             for v in range(len(doc_freq)):
