@@ -12,9 +12,13 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   1-20 x radius 3/50/4000 (alpha 1, batch size 16);
 - `una augment` on the augment-guided input with that seed's model and the
   benchmark's flags, seeds 1-3;
+- `una augment` on the sample corpus with random selection, and again with
+  random replacement, seeds 1-5 (radius 50, alpha 1, batch size 16);
+- `una loss-demo` on the sample corpus and pairs, seeds 1-5, which writes
+  only to standard output;
 - the standard output of every run.
 
-That is 140 files per side. The script prints how many are identical,
+That is 165 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -29,9 +33,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_CORPUS = ROOT / "data" / "sample_corpus.txt"
+SAMPLE_PAIRS = ROOT / "data" / "sample_pairs.tsv"
 GEN_SEEDS = (1, 2, 3)
 SAMPLE_SEEDS = range(1, 21)
 SAMPLE_RADII = (3, 50, 4000)
+RANDOM_MODE_SEEDS = range(1, 6)
 # The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
 BENCH_AUGMENT_FLAGS = [
     "--alpha", "1", "--batch-size", "64", "--radius", "4000", "--beta", "0.5",
@@ -53,7 +59,7 @@ def make_inputs(work: Path) -> None:
 
 def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     """(name, una arguments) of every run, each model fitted before it is
-    used; a run writes its output file to out / name."""
+    used; a run other than loss-demo writes its output file to out / name."""
     def fit(name: str, corpus: Path) -> tuple[str, list[str]]:
         return name, ["fit", "--corpus", str(corpus), "--output", str(out / name)]
 
@@ -72,6 +78,12 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     for seed in GEN_SEEDS:
         source = inputs / f"augment-guided-{seed}" / "augment_input.txt"
         matrix.append(augment(f"augment-guided-{seed}", f"fit-model-{seed}", source, seed, BENCH_AUGMENT_FLAGS))
+    for seed in RANDOM_MODE_SEEDS:
+        for mode in ("selection", "replacement"):
+            flags = ["--radius", "50", "--alpha", "1", "--batch-size", "16", f"--{mode}-mode", "random"]
+            matrix.append(augment(f"augment-sample-s{seed}-random-{mode}", "fit-sample", SAMPLE_CORPUS, seed, flags))
+        matrix.append((f"loss-demo-s{seed}", ["loss-demo", "--corpus", str(SAMPLE_CORPUS),
+                                              "--pairs", str(SAMPLE_PAIRS), "--seed", str(seed)]))
     return matrix
 
 

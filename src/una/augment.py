@@ -8,7 +8,7 @@ from the input. Replacements are drawn from the terms whose maximum
 corpus tf-idf score ranks within `radius` positions of the original
 term's, weighted by those scores, so a replaced word swaps against a word
 of comparable importance. Batches are augmented once every `alpha`
-batches.
+batches, and each such batch is scored with one sentence_scores call.
 
 Both the term-selection step and the term-replacement step can be
 switched to a purely random baseline for ablation experiments.
@@ -265,10 +265,11 @@ def _sample_from_rank_window(
 def augment_sentence(
     model: TfIdfModel,
     document: Document,
+    scores: SentenceScores,
     config: AugmentationConfig,
     rng: np.random.Generator,
 ) -> AugmentedSentence:
-    """Generate one negative sentence by stochastic term replacement.
+    """Generate one negative by stochastic term replacement, given the document's scores.
 
     Replacement is decided once per distinct term; every occurrence of a
     replaced term is rewritten to the same sampled substitute. Tokens the
@@ -276,7 +277,6 @@ def augment_sentence(
     in-vocabulary terms, or a single-term vocabulary, come back unchanged
     and flagged unaugmentable.
     """
-    scores = sentence_scores(model, document.tokens)
     if scores.n_terms == 0 or model.m <= 1:
         return AugmentedSentence(document.doc_id, list(document.tokens), None, unaugmentable=True)
 
@@ -336,9 +336,10 @@ def augment_batch(
     if batch_index % config.alpha != 0:
         return None
 
+    scored = zip(documents, sentence_scores(model, [document.tokens for document in documents]))
     sentences = [
-        augment_sentence(model, document, config, sentence_rng(config.seed, batch_index, position))
-        for position, document in enumerate(documents)
+        augment_sentence(model, document, scores, config, sentence_rng(config.seed, batch_index, position))
+        for position, (document, scores) in enumerate(scored)
     ]
     return NegativeBatch(batch_index, sentences)
 

@@ -119,8 +119,7 @@ def cmd_augment(args) -> int:
         raise FlagError(str(exc)) from None
 
     model = load_model(args.model)
-    lines, _ = read_nonblank_lines(args.input)
-    documents = [Document.from_text(number, text) for number, text in lines]
+    documents = [Document.from_text(number, text) for number, text in read_nonblank_lines(args.input)[0]]
 
     emitted_batches = 0
     negatives = 0

@@ -84,9 +84,6 @@ class Vocabulary:
             self._terms.append(term)
         return term_id
 
-    def id_of(self, term: str) -> int:
-        return self._ids[term]
-
     def get(self, term: str) -> int | None:
         return self._ids.get(term)
 
@@ -120,15 +117,14 @@ class Vocabulary:
 
 @dataclass
 class Document:
-    """One sentence to augment; tokens are exactly tokenize(raw)."""
+    """One sentence to augment: its id and its tokens."""
 
     doc_id: int
-    raw: str
     tokens: list[str]
 
     @classmethod
     def from_text(cls, doc_id: int, raw: str) -> "Document":
-        return cls(doc_id, raw, tokenize(raw))
+        return cls(doc_id, tokenize(raw))
 
 
 @dataclass

@@ -4,7 +4,8 @@ The fitted model keeps three things per term: its inverse document
 frequency, the maximum tf-idf score it reaches in any document, and the
 rank of that maximum among all terms. The full documents-by-terms score
 matrix is never materialized; sentence vectors are recomputed on demand
-from the idf values and the sentence's own term counts.
+from the idf values and the sentence's own term counts. One function,
+_row_tfs, counts the terms of fit and of sentence_scores alike.
 
 Conventions fixed here (they must match the serialized files and the test
 oracles): natural logarithms everywhere, tf(c, n) = log(1 + c/n),
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -105,17 +105,21 @@ def rank_terms_by_score(max_score: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(scores.size), scores)).astype(np.int64)
 
 
-def _term_frequencies(vocabulary: Vocabulary, tokens: Iterable[str]) -> tuple[list[int], list[float]]:
-    """Ascending ids of the in-vocabulary tokens and their tf values.
+def _row_tfs(indptr: np.ndarray, term_ids: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """(row, term, tf) for every distinct term of every row, ascending by (row, term).
 
-    Out-of-vocabulary tokens count neither as terms nor toward the length
-    n in tf = log(1 + c/n).
+    Rows lie back to back in term_ids (ids in [0, m)), their lengths n are
+    indptr's differences, and tf = log(1 + c/n) for each count c.
     """
-    known = [term_id for term_id in map(vocabulary.get, tokens) if term_id is not None]
-    counts = Counter(known)
-    total = len(known)
-    term_ids = sorted(counts)
-    return term_ids, [math.log1p(counts[i] / total) for i in term_ids]
+    lengths = np.diff(indptr)
+    rows = np.repeat(np.arange(lengths.size), lengths)
+    keys, counts = np.unique(rows * m + term_ids, return_counts=True)
+    rows, terms = np.divmod(keys, m)
+    # Sentences are short, so the ratios c/n take few distinct values
+    # and math.log1p (see the module docstring) runs once per value.
+    ratios, inverse = np.unique(counts / lengths[rows], return_inverse=True)
+    tfs = np.array([math.log1p(ratio) for ratio in ratios.tolist()])[inverse]
+    return rows, terms, tfs
 
 
 def fit(corpus: Corpus) -> TfIdfModel:
@@ -123,12 +127,12 @@ def fit(corpus: Corpus) -> TfIdfModel:
 
     Documents are counted _FIT_CHUNK_DOCS rows at a time, so temporary
     memory is bounded by the chunk, not the corpus. A chunk is one slice of
-    the corpus's term ids; np.unique over doc * m + term gives every
-    (document, term) count, which adds to the document frequencies and
-    raises each term's largest tf. max_score is that tf times idf, which
-    equals the largest tf * idf because idf >= 0 and rounded products are
-    monotone. Vocabulary terms that occur in no document (possible only
-    with a hand-built corpus) score zero.
+    the corpus's term ids; _row_tfs gives each (document, term) tf, which
+    adds to the document frequencies and raises each term's largest tf.
+    max_score is that tf times idf, which equals the largest tf * idf
+    because idf >= 0 and rounded products are monotone. Vocabulary terms
+    that occur in no document (possible only with a hand-built corpus)
+    score zero.
     """
     if corpus.n_docs == 0:
         raise ValueError("cannot fit a TF-IDF model on an empty corpus")
@@ -138,14 +142,7 @@ def fit(corpus: Corpus) -> TfIdfModel:
     max_tf = np.zeros(m, dtype=np.float64)
     for start in range(0, n_docs, _FIT_CHUNK_DOCS):
         bounds = corpus.indptr[start : start + _FIT_CHUNK_DOCS + 1]
-        lengths = np.diff(bounds)
-        docs = np.repeat(np.arange(lengths.size), lengths)
-        keys, counts = np.unique(docs * m + corpus.term_ids[bounds[0] : bounds[-1]], return_counts=True)
-        terms = keys % m
-        # Sentences are short, so the ratios c/n take few distinct values
-        # and math.log1p (see the module docstring) runs once per value.
-        ratios, inverse = np.unique(counts / lengths[keys // m], return_inverse=True)
-        tfs = np.array([math.log1p(ratio) for ratio in ratios.tolist()])[inverse]
+        _, terms, tfs = _row_tfs(bounds, corpus.term_ids[bounds[0] : bounds[-1]], m)
         doc_freq += np.bincount(terms, minlength=m)
         np.maximum.at(max_tf, terms, tfs)
 
@@ -189,18 +186,23 @@ class SentenceScores:
         return int(self.term_ids.size)
 
 
-def sentence_scores(model: TfIdfModel, tokens: Iterable[str]) -> SentenceScores:
-    """Score a sentence against the fitted model.
+def sentence_scores(model: TfIdfModel, sentences: Sequence[Iterable[str]]) -> list[SentenceScores]:
+    """Score each token list of a batch against the fitted model.
 
     Only in-vocabulary tokens are counted; out-of-vocabulary tokens
     contribute neither to the sentence length used by tf nor to the
     returned terms. A sentence with no known tokens yields an empty vector.
     """
-    term_ids, tfs = _term_frequencies(model.vocabulary, tokens)
-    term_ids = np.array(term_ids, dtype=np.int64)
-    # _term_frequencies returns ascending ids, so the checks of a directly
-    # built SentenceScores would only repeat what holds by construction.
-    return SentenceScores._unchecked(term_ids, np.array(tfs, dtype=np.float64) * model.idf[term_ids])
+    term_ids, indptr = [], [0]  # one row per sentence, counted by one _row_tfs call
+    for tokens in sentences:
+        term_ids.extend(term_id for term_id in map(model.vocabulary.get, tokens) if term_id is not None)
+        indptr.append(len(term_ids))
+    rows, terms, tfs = _row_tfs(np.array(indptr), np.array(term_ids, dtype=np.int64), model.m)
+    scores = tfs * model.idf[terms]
+    # Entries ascend by (row, term), so each sentence is one slice that
+    # already passes the checks of a directly built SentenceScores.
+    bounds = np.searchsorted(rows, np.arange(len(indptr))).tolist()
+    return [SentenceScores._unchecked(terms[a:b], scores[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def save_model(model: TfIdfModel, sink) -> None:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from una.corpus import Corpus, CorpusDecodeError, Document, Vocabulary
-from una.tfidf import TfIdfModel, _term_frequencies
+from una.tfidf import TfIdfModel
 
 
 def reference_tokenize(text: str) -> list[str]:
@@ -34,6 +35,21 @@ def reference_tokenize(text: str) -> list[str]:
     return tokens
 
 
+def reference_term_frequencies(vocabulary: Vocabulary, tokens) -> tuple[list[int], list[float]]:
+    """One sentence's ascending in-vocabulary term ids and their tf values,
+    counted with a Counter: the per-sentence oracle of the row counter
+    that fit and sentence_scores share.
+
+    Out-of-vocabulary tokens count neither as terms nor toward the length
+    n in tf = log(1 + c/n).
+    """
+    known = [term_id for term_id in map(vocabulary.get, tokens) if term_id is not None]
+    counts = Counter(known)
+    total = len(known)
+    term_ids = sorted(counts)
+    return term_ids, [math.log1p(counts[i] / total) for i in term_ids]
+
+
 def reference_fit(corpus: Corpus) -> TfIdfModel:
     """Per-document fit loop with the library's arithmetic: the bit-exact
     oracle of the chunked fit (brute_force_tfidf checks the math itself)."""
@@ -42,7 +58,7 @@ def reference_fit(corpus: Corpus) -> TfIdfModel:
     doc_freq = [0] * m
     max_tf = [0.0] * m
     for tokens in corpus_token_lists(corpus):
-        for term_id, value in zip(*_term_frequencies(corpus.vocabulary, tokens)):
+        for term_id, value in zip(*reference_term_frequencies(corpus.vocabulary, tokens)):
             doc_freq[term_id] += 1
             if value > max_tf[term_id]:
                 max_tf[term_id] = value
@@ -97,13 +113,8 @@ def corpus_token_lists(corpus: Corpus) -> list[list[str]]:
 
 
 def corpus_documents(corpus: Corpus) -> list[Document]:
-    """Each document of a corpus as an augmentation input, ids from 0.
-    The raw text is the terms joined by spaces, which tokenizes back to
-    them."""
-    return [
-        Document(index, " ".join(tokens), tokens)
-        for index, tokens in enumerate(corpus_token_lists(corpus))
-    ]
+    """Each document of a corpus as an augmentation input, ids from 0."""
+    return [Document(index, tokens) for index, tokens in enumerate(corpus_token_lists(corpus))]
 
 
 def brute_force_tfidf(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +125,7 @@ def brute_force_tfidf(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     documents = corpus_token_lists(corpus)
     for tokens in documents:
         for term in set(tokens):
-            doc_freq[corpus.vocabulary.id_of(term)] += 1
+            doc_freq[corpus.vocabulary.get(term)] += 1
     idf = np.zeros(m)
     for j in range(m):
         if doc_freq[j] > 0:
@@ -125,7 +136,7 @@ def brute_force_tfidf(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
         if n == 0:
             continue
         for term in tokens:
-            j = corpus.vocabulary.id_of(term)
+            j = corpus.vocabulary.get(term)
             matrix[i, j] += 1
         for j in range(m):
             if matrix[i, j] > 0:

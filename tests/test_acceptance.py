@@ -185,12 +185,12 @@ def test_c07_selection_bias_direction():
             xs = []
             ys = []
             for index, document in enumerate(corpus_documents(corpus)):
-                scores = sentence_scores(model, document.tokens)
+                scores = sentence_scores(model, [document.tokens])[0]
                 ranks = average_ranks(scores.scores)
                 replaced = np.zeros(scores.n_terms)
                 for repetition in range(repetitions):
                     result = augment_sentence(
-                        model, document, config, sentence_rng(107, repetition + 1, index)
+                        model, document, scores, config, sentence_rng(107, repetition + 1, index)
                     )
                     replaced += [entry.replaced for entry in result.plan]
                 xs.extend(ranks)
@@ -257,7 +257,7 @@ def test_c10_schedule_arithmetic():
         corpus = zipf_corpus(rng, n_sentences=40, vocab_size=60, terms_per_sentence=5)
         model = fit(corpus)
 
-        documents = [Document(i, d.raw, list(d.tokens)) for i, d in enumerate(corpus_documents(corpus) * 8)]
+        documents = [Document(i, list(d.tokens)) for i, d in enumerate(corpus_documents(corpus) * 8)]
         assert len(documents) == 320
         config = AugmentationConfig(alpha=5, seed=110)
         batches = list(iter_negative_batches(model, documents, config, 64))

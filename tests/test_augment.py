@@ -295,66 +295,75 @@ def small_model(small_corpus):
 class TestAugmentSentence:
     def test_single_term_sentence_always_replaced(self, small_model):
         document = Document.from_text(0, "caffeine b")
+        scores = sentence_scores(small_model, [document.tokens])[0]
         config = AugmentationConfig(seed=9)
         for position in range(20):
             rng = sentence_rng(9, 5, position)
-            result = augment_sentence(small_model, document, config, rng)
+            result = augment_sentence(small_model, document, scores, config, rng)
             assert result.tokens != document.tokens
             assert result.tokens[1] != "b"
 
     def test_token_count_preserved(self, small_model):
         document = Document.from_text(0, "a b b a c")
-        result = augment_sentence(small_model, document, AugmentationConfig(), sentence_rng(1, 5, 0))
+        scores = sentence_scores(small_model, [document.tokens])[0]
+        result = augment_sentence(small_model, document, scores, AugmentationConfig(), sentence_rng(1, 5, 0))
         assert len(result.tokens) == len(document.tokens)
 
     def test_all_occurrences_rewritten_identically(self, small_model):
         document = Document.from_text(0, "b a b")
+        scores = sentence_scores(small_model, [document.tokens])[0]
         for position in range(20):
             result = augment_sentence(
-                small_model, document, AugmentationConfig(), sentence_rng(3, 5, position)
+                small_model, document, scores, AugmentationConfig(), sentence_rng(3, 5, position)
             )
             replaced_b = [t for i, t in enumerate(result.tokens) if i in (0, 2)]
             assert replaced_b[0] == replaced_b[1]
 
     def test_oov_tokens_pass_through(self, small_model):
         document = Document.from_text(0, "zzz b yyy")
-        result = augment_sentence(small_model, document, AugmentationConfig(), sentence_rng(4, 5, 0))
+        scores = sentence_scores(small_model, [document.tokens])[0]
+        result = augment_sentence(small_model, document, scores, AugmentationConfig(), sentence_rng(4, 5, 0))
         assert result.tokens[0] == "zzz" and result.tokens[2] == "yyy"
 
     def test_minimum_score_term_never_replaced_when_spread(self, small_model):
         # "a" appears in every document: score 0, strictly below the rest,
         # so its replacement probability is exactly 0.
         document = Document.from_text(0, "a b")
+        scores = sentence_scores(small_model, [document.tokens])[0]
         for position in range(30):
             result = augment_sentence(
-                small_model, document, AugmentationConfig(), sentence_rng(5, 5, position)
+                small_model, document, scores, AugmentationConfig(), sentence_rng(5, 5, position)
             )
             assert result.tokens[0] == "a"
             assert result.tokens[1] != "b"
 
     def test_unaugmentable_oov_sentence(self, small_model):
         document = Document.from_text(0, "qq ww")
-        result = augment_sentence(small_model, document, AugmentationConfig(), sentence_rng(6, 5, 0))
+        scores = sentence_scores(small_model, [document.tokens])[0]
+        result = augment_sentence(small_model, document, scores, AugmentationConfig(), sentence_rng(6, 5, 0))
         assert result.unaugmentable and result.tokens == ["qq", "ww"]
         assert result.plan is None
 
     def test_unaugmentable_single_term_vocabulary(self):
         model = fit(corpus_from_token_lists([["x"], ["x", "x"]]))
         document = Document.from_text(0, "x x")
-        result = augment_sentence(model, document, AugmentationConfig(), sentence_rng(7, 5, 0))
+        scores = sentence_scores(model, [document.tokens])[0]
+        result = augment_sentence(model, document, scores, AugmentationConfig(), sentence_rng(7, 5, 0))
         assert result.unaugmentable and result.tokens == ["x", "x"]
 
     def test_deterministic_for_fixed_stream(self, small_model):
         document = Document.from_text(3, "a b b c d")
+        scores = sentence_scores(small_model, [document.tokens])[0]
         config = AugmentationConfig(seed=11)
-        first = augment_sentence(small_model, document, config, sentence_rng(11, 10, 2))
-        second = augment_sentence(small_model, document, config, sentence_rng(11, 10, 2))
+        first = augment_sentence(small_model, document, scores, config, sentence_rng(11, 10, 2))
+        second = augment_sentence(small_model, document, scores, config, sentence_rng(11, 10, 2))
         assert first.tokens == second.tokens
         assert first.source_id == 3
 
     def test_plan_structure(self, small_model):
         document = Document.from_text(0, "a b b c")
-        result = augment_sentence(small_model, document, AugmentationConfig(), sentence_rng(2, 5, 0))
+        scores = sentence_scores(small_model, [document.tokens])[0]
+        result = augment_sentence(small_model, document, scores, AugmentationConfig(), sentence_rng(2, 5, 0))
         plan = result.plan
         assert len(plan) == 3  # distinct in-vocab terms: a, b, c
         forced = [entry for entry in plan if entry.forced]
@@ -373,8 +382,9 @@ class TestAugmentSentence:
     def test_replacements_respect_window(self, small_model):
         config = AugmentationConfig(radius=1)
         document = Document.from_text(0, "a b b c d")
+        scores = sentence_scores(small_model, [document.tokens])[0]
         for position in range(50):
-            result = augment_sentence(small_model, document, config, sentence_rng(8, 5, position))
+            result = augment_sentence(small_model, document, scores, config, sentence_rng(8, 5, position))
             for entry in result.plan:
                 if entry.replaced:
                     distance = abs(
@@ -436,7 +446,13 @@ class TestAugmentBatch:
         config = AugmentationConfig(alpha=3, radius=20, seed=21)
         batch = augment_batch(model, docs, config, 6)
         reverse = {
-            position: augment_sentence(model, docs[position], config, sentence_rng(config.seed, 6, position))
+            position: augment_sentence(
+                model,
+                docs[position],
+                sentence_scores(model, [docs[position].tokens])[0],
+                config,
+                sentence_rng(config.seed, 6, position),
+            )
             for position in reversed(range(len(docs)))
         }
         assert [s.tokens for s in batch.sentences] == [reverse[p].tokens for p in range(len(docs))]
@@ -458,12 +474,12 @@ class TestSelectionBias:
         low_rate = []
         high_rate = []
         for index, document in enumerate(corpus_documents(corpus)):
-            scores = sentence_scores(model, document.tokens)
+            scores = sentence_scores(model, [document.tokens])[0]
             if np.ptp(scores.scores) == 0:
                 continue
             lowest = int(scores.term_ids[np.argmin(scores.scores)])
             highest = int(scores.term_ids[np.argmax(scores.scores)])
-            result = augment_sentence(model, document, config, sentence_rng(23, 5, index))
+            result = augment_sentence(model, document, scores, config, sentence_rng(23, 5, index))
             outcomes = {entry.term_id: entry.replaced for entry in result.plan}
             low_rate.append(outcomes[lowest])
             high_rate.append(outcomes[highest])

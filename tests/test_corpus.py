@@ -148,12 +148,12 @@ class TestVocabulary:
         assert len(build_vocabulary([])) == 0
 
     def test_first_seen_order(self):
-        voc = build_vocabulary([Document(0, "b a b", ["b", "a", "b"])])
+        voc = build_vocabulary([Document(0, ["b", "a", "b"])])
         assert voc.terms == ["b", "a"]
-        assert voc.id_of("b") == 0 and voc.id_of("a") == 1
+        assert voc.get("b") == 0 and voc.get("a") == 1
 
     def test_order_across_documents(self):
-        docs = [Document(0, "a", ["a"]), Document(1, "b a", ["b", "a"])]
+        docs = [Document(0, ["a"]), Document(1, ["b", "a"])]
         voc = build_vocabulary(docs)
         assert voc.terms == ["a", "b"]
 
@@ -161,7 +161,7 @@ class TestVocabulary:
         voc = Vocabulary(["x", "y", "z", "y"])
         assert len(voc) == 3
         for term_id, term in enumerate(voc):
-            assert voc.id_of(term) == term_id
+            assert voc.get(term) == term_id
             assert voc.term(term_id) == term
 
     def test_add_existing_returns_same_id(self):
@@ -171,8 +171,6 @@ class TestVocabulary:
 
     def test_lookup_errors(self):
         voc = Vocabulary(["a"])
-        with pytest.raises(KeyError):
-            voc.id_of("missing")
         assert voc.get("missing") is None
         with pytest.raises(IndexError):
             voc.term(5)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     SAMPLE_CORPUS,
@@ -13,6 +15,8 @@ from helpers import (
     corpus_token_lists,
     random_corpus,
     reference_fit,
+    reference_term_frequencies,
+    synthetic_model,
 )
 from una import tfidf
 from una.corpus import Corpus, load_corpus
@@ -41,7 +45,7 @@ class TestFit:
     def test_two_document_example(self, two_doc_model):
         model = two_doc_model
         voc = model.vocabulary
-        a, b, c = voc.id_of("a"), voc.id_of("b"), voc.id_of("c")
+        a, b, c = voc.get("a"), voc.get("b"), voc.get("c")
         assert model.idf[a] == 0.0
         assert model.idf[b] == pytest.approx(math.log(2), abs=1e-12)
         assert model.idf[c] == pytest.approx(math.log(2), abs=1e-12)
@@ -67,7 +71,7 @@ class TestFit:
         # the second; its max score takes the larger one.
         corpus = corpus_from_token_lists([["a", "b", "c", "d"], ["b", "b", "e"], ["f"]])
         model = fit(corpus)
-        b = corpus.vocabulary.id_of("b")
+        b = corpus.vocabulary.get("b")
         assert model.idf[b] == -math.log(2 / 3)
         assert model.max_score[b] == math.log1p(2 / 3) * -math.log(2 / 3)
 
@@ -91,7 +95,7 @@ class TestFit:
         doc_freq = np.zeros(len(corpus.vocabulary))
         for tokens in corpus_token_lists(corpus):
             for term in set(tokens):
-                doc_freq[corpus.vocabulary.id_of(term)] += 1
+                doc_freq[corpus.vocabulary.get(term)] += 1
         for u in range(len(doc_freq)):
             for v in range(len(doc_freq)):
                 if doc_freq[u] and doc_freq[v] and doc_freq[u] < doc_freq[v]:
@@ -181,35 +185,35 @@ class TestFitChunks:
 
 class TestSentenceScores:
     def test_empty_tokens(self, two_doc_model):
-        scores = sentence_scores(two_doc_model, [])
+        scores = sentence_scores(two_doc_model, [[]])[0]
         assert scores.n_terms == 0
 
     def test_example_values(self, two_doc_model):
-        scores = sentence_scores(two_doc_model, ["a", "b"])
+        scores = sentence_scores(two_doc_model, [["a", "b"]])[0]
         voc = two_doc_model.vocabulary
-        assert list(scores.term_ids) == sorted([voc.id_of("a"), voc.id_of("b")])
+        assert list(scores.term_ids) == sorted([voc.get("a"), voc.get("b")])
         by_term = dict(zip(scores.term_ids, scores.scores))
-        assert by_term[voc.id_of("a")] == 0.0
-        assert by_term[voc.id_of("b")] == pytest.approx(
+        assert by_term[voc.get("a")] == 0.0
+        assert by_term[voc.get("b")] == pytest.approx(
             math.log(1 + 1 / 2) * math.log(2), abs=1e-12
         )
 
     def test_oov_only(self, two_doc_model):
-        assert sentence_scores(two_doc_model, ["zzz"]).n_terms == 0
+        assert sentence_scores(two_doc_model, [["zzz"]])[0].n_terms == 0
 
     def test_oov_excluded_from_length(self, two_doc_model):
         # "zzz" must not count toward the sentence length used by tf
-        with_oov = sentence_scores(two_doc_model, ["a", "zzz", "b"])
-        without = sentence_scores(two_doc_model, ["a", "b"])
+        with_oov = sentence_scores(two_doc_model, [["a", "zzz", "b"]])[0]
+        without = sentence_scores(two_doc_model, [["a", "b"]])[0]
         np.testing.assert_array_equal(with_oov.term_ids, without.term_ids)
         np.testing.assert_array_equal(with_oov.scores, without.scores)
 
     def test_scores_non_negative(self, two_doc_model):
-        scores = sentence_scores(two_doc_model, ["a", "b", "b", "c", "c", "c"])
+        scores = sentence_scores(two_doc_model, [["a", "b", "b", "c", "c", "c"]])[0]
         assert np.all(scores.scores >= 0)
 
     def test_result_passes_direct_checks(self, two_doc_model):
-        result = sentence_scores(two_doc_model, ["c", "zzz", "b", "a", "b"])
+        result = sentence_scores(two_doc_model, [["c", "zzz", "b", "a", "b"]])[0]
         assert result.term_ids.dtype == np.int64 and result.scores.dtype == np.float64
         SentenceScores(result.term_ids, result.scores)  # raises if a check fails
 
@@ -225,6 +229,53 @@ class TestSentenceScores:
     def test_direct_construction_validates(self, term_ids, scores):
         with pytest.raises(ValueError):
             SentenceScores(term_ids, scores)
+
+
+def _assert_matches_reference_scores(model: TfIdfModel, batch: list[list[str]]):
+    """sentence_scores over a batch is, sentence by sentence and bit for
+    bit, the Counter oracle's tf times idf."""
+    results = sentence_scores(model, batch)
+    assert len(results) == len(batch)
+    for tokens, result in zip(batch, results):
+        term_ids, tfs = reference_term_frequencies(model.vocabulary, tokens)
+        term_ids = np.array(term_ids, dtype=np.int64)
+        _assert_bit_equal(result.term_ids, term_ids)
+        _assert_bit_equal(result.scores, np.array(tfs, dtype=np.float64) * model.idf[term_ids])
+
+
+@st.composite
+def _model_and_batch(draw):
+    """A model with random idf values over t0..t(m-1), and a batch of 0-70
+    sentences that mixes empty, all-out-of-vocabulary and repeated-term
+    sentences with in-vocabulary and unknown tokens."""
+    m = draw(st.integers(1, 12))
+    idf = draw(st.lists(st.floats(0, 20, allow_nan=False), min_size=m, max_size=m))
+    model = synthetic_model(np.zeros(m), idf)
+    known = st.sampled_from([f"t{k}" for k in range(m)])
+    unknown = st.sampled_from(["oov", "zzz", "t99"])
+    sentence = st.one_of(
+        st.just([]),
+        st.lists(unknown, min_size=1, max_size=4),
+        st.lists(known, min_size=1, max_size=3).map(lambda tokens: tokens * 3),
+        st.lists(st.one_of(known, unknown), max_size=15),
+    )
+    return model, draw(st.lists(sentence, max_size=70))
+
+
+class TestBatchScoresDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_model_and_batch())
+    def test_random_batches(self, model_and_batch):
+        _assert_matches_reference_scores(*model_and_batch)
+
+    def test_empty_vocabulary(self):
+        model = synthetic_model([])
+        assert model.m == 0
+        _assert_matches_reference_scores(model, [[], ["a"], ["a", "b", "a"], []])
+
+    def test_single_term_vocabulary(self):
+        model = synthetic_model([0.5], [0.75])
+        _assert_matches_reference_scores(model, [["t0"], [], ["t0", "oov", "t0"], ["oov"], ["t0"] * 7])
 
 
 class TestSerialization:
