@@ -12,13 +12,21 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   1-20 x radius 3/50/4000 (alpha 1, batch size 16);
 - `una augment` on the augment-guided input with that seed's model and the
   benchmark's flags, seeds 1-3;
-- `una augment` on the sample corpus with random selection, and again with
-  random replacement, seeds 1-5 (radius 50, alpha 1, batch size 16);
+- `una augment` on the sample corpus with beta 0.1 and 1.0, seeds 1-5 x
+  radius 3/50/4000 (alpha 1, batch size 16);
+- `una fit` on a small corpus written by this script in which four terms
+  occur in every line (idf 0, so max score 0) and a quarter of the lines
+  hold only those terms, then `una augment` on it with radius 1 and 2,
+  seeds 1-5: a forced term whose window holds only zero-score terms takes
+  the uniform zero-mass fallback;
+- `una augment` on the sample corpus with random selection, with random
+  replacement, and with both, seeds 1-5 (radius 50, alpha 1, batch size
+  16);
 - `una loss-demo` on the sample corpus and pairs, seeds 1-5, which writes
   only to standard output;
 - the standard output of every run.
 
-That is 165 files per side. The script prints how many are identical,
+That is 257 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -37,6 +46,10 @@ SAMPLE_PAIRS = ROOT / "data" / "sample_pairs.tsv"
 GEN_SEEDS = (1, 2, 3)
 SAMPLE_SEEDS = range(1, 21)
 SAMPLE_RADII = (3, 50, 4000)
+SAMPLE_BETAS = (0.1, 1.0)
+BETA_SEEDS = range(1, 6)
+ZERO_SCORE_SEEDS = range(1, 6)
+ZERO_SCORE_RADII = (1, 2)
 RANDOM_MODE_SEEDS = range(1, 6)
 # The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
 BENCH_AUGMENT_FLAGS = [
@@ -45,8 +58,27 @@ BENCH_AUGMENT_FLAGS = [
 ]
 
 
+def write_zero_score_corpus(path: Path) -> None:
+    """80 lines that all hold the terms "the of and a"; every fourth line
+    holds nothing else, the others add two to five words from a pool of 30."""
+    rng = random.Random(0)
+    common = ["the", "of", "and", "a"]
+    pool = [f"word{k}" for k in range(30)]
+    lines = []
+    for number in range(80):
+        words = list(common)
+        if number % 4:
+            words += rng.sample(pool, rng.randint(2, 5))
+        rng.shuffle(words)
+        lines.append(" ".join(words))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def make_inputs(work: Path) -> None:
-    """Write the bench/gen.py inputs of both workloads for every seed."""
+    """Write the zero-score corpus and the bench/gen.py inputs of both
+    workloads for every seed."""
+    work.mkdir(parents=True)
+    write_zero_score_corpus(work / "zero_score_corpus.txt")
     for workload in ("fit-corpus", "augment-guided"):
         for seed in GEN_SEEDS:
             out = work / f"{workload}-{seed}"
@@ -78,10 +110,25 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     for seed in GEN_SEEDS:
         source = inputs / f"augment-guided-{seed}" / "augment_input.txt"
         matrix.append(augment(f"augment-guided-{seed}", f"fit-model-{seed}", source, seed, BENCH_AUGMENT_FLAGS))
+    for seed in BETA_SEEDS:
+        for radius in SAMPLE_RADII:
+            for beta in SAMPLE_BETAS:
+                flags = ["--radius", str(radius), "--beta", str(beta), "--alpha", "1", "--batch-size", "16"]
+                name = f"augment-sample-s{seed}-r{radius}-b{beta}"
+                matrix.append(augment(name, "fit-sample", SAMPLE_CORPUS, seed, flags))
+    zero_score = inputs / "zero_score_corpus.txt"
+    matrix.append(fit("fit-zero-score", zero_score))
+    for seed in ZERO_SCORE_SEEDS:
+        for radius in ZERO_SCORE_RADII:
+            flags = ["--radius", str(radius), "--alpha", "1", "--batch-size", "16"]
+            name = f"augment-zero-score-s{seed}-r{radius}"
+            matrix.append(augment(name, "fit-zero-score", zero_score, seed, flags))
     for seed in RANDOM_MODE_SEEDS:
-        for mode in ("selection", "replacement"):
-            flags = ["--radius", "50", "--alpha", "1", "--batch-size", "16", f"--{mode}-mode", "random"]
-            matrix.append(augment(f"augment-sample-s{seed}-random-{mode}", "fit-sample", SAMPLE_CORPUS, seed, flags))
+        for modes in (["selection"], ["replacement"], ["selection", "replacement"]):
+            flags = ["--radius", "50", "--alpha", "1", "--batch-size", "16"]
+            flags += [option for mode in modes for option in (f"--{mode}-mode", "random")]
+            name = f"augment-sample-s{seed}-random-{'-'.join(modes)}"
+            matrix.append(augment(name, "fit-sample", SAMPLE_CORPUS, seed, flags))
         matrix.append((f"loss-demo-s{seed}", ["loss-demo", "--corpus", str(SAMPLE_CORPUS),
                                               "--pairs", str(SAMPLE_PAIRS), "--seed", str(seed)]))
     return matrix

@@ -21,12 +21,22 @@ law directly, one window at a time.
 Randomness comes from counter-based Philox streams derived from
 (master seed, batch index, position in batch), so a sentence's negative
 does not depend on the order in which a batch's sentences are processed.
+
+`augment_sentence` augments one sentence from its own stream. With tfidf
+selection and tfidf replacement, `augment_batch` does the same work a
+batch at a time: probabilities for all sentences of one term count at
+once, one re-keyed generator and one bulk draw per sentence, and one
+vectorised window search for the whole batch. Its output is byte-identical
+to `augment_sentence`, which stays its test oracle and its fallback for
+the random modes, a single-term vocabulary and sentences whose window has
+no score mass. Plans keep their outcomes as columns and build
+`TermReplacement` entries only when they are read.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -96,15 +106,35 @@ class TermReplacement:
 
 @dataclass
 class ReplacementPlan:
-    """Per-term probabilities and sampled outcomes for one sentence."""
+    """Per-term probabilities and sampled outcomes for one sentence.
 
-    entries: list[TermReplacement] = field(default_factory=list)
+    The outcomes are kept as parallel columns over the sentence's distinct
+    terms: replacement_ids holds one substitute per replaced term, in term
+    order. entries (and iteration) build the TermReplacement objects only
+    when they are read.
+    """
+
+    term_ids: list[int]
+    probabilities: list[float]
+    forced: int
+    replaced: list[bool]
+    replacement_ids: list[int]
+
+    @property
+    def entries(self) -> list[TermReplacement]:
+        substitutes = iter(self.replacement_ids)
+        return [
+            TermReplacement(term_id, probability, position == self.forced, hit, next(substitutes) if hit else None)
+            for position, (term_id, probability, hit) in enumerate(
+                zip(self.term_ids, self.probabilities, self.replaced)
+            )
+        ]
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.term_ids)
 
 
 @dataclass
@@ -284,26 +314,24 @@ def augment_sentence(
         scores, config.beta, config.selection_mode, rng
     )
 
-    plan = ReplacementPlan()
+    term_ids, probabilities = scores.term_ids.tolist(), probabilities.tolist()
+    replaced, replacement_ids = [], []
     substitutions: dict[str, str] = {}
-    for position in range(scores.n_terms):
-        term_id = int(scores.term_ids[position])
-        probability = float(probabilities[position])
-        replaced = bool(rng.random() < probability)
-        replacement_id = None
-        if replaced:
+    for term_id, probability in zip(term_ids, probabilities):
+        hit = bool(rng.random() < probability)
+        replaced.append(hit)
+        if hit:
             if config.replacement_mode == MODE_RANDOM:
                 replacement_id = sample_replacement(
                     model, (), MODE_RANDOM, rng, original_term_id=term_id
                 )
             else:
                 replacement_id = _sample_from_rank_window(model, term_id, config.radius, rng)
+            replacement_ids.append(replacement_id)
             substitutions[model.vocabulary.term(term_id)] = model.vocabulary.term(replacement_id)
-        plan.entries.append(
-            TermReplacement(term_id, probability, position == forced, replaced, replacement_id)
-        )
 
     tokens = [substitutions.get(token, token) for token in document.tokens]
+    plan = ReplacementPlan(term_ids, probabilities, forced, replaced, replacement_ids)
     return AugmentedSentence(document.doc_id, tokens, plan)
 
 
@@ -317,6 +345,144 @@ def sentence_rng(master_seed: int, batch_index: int, position: int) -> np.random
     return np.random.Generator(np.random.Philox(sequence))
 
 
+def _sentence_draws(
+    master_seed: int, batch_index: int, requests: Iterable[tuple[int, int]]
+) -> Iterator[list[float]]:
+    """For each (position, k), the first k random() values of
+    sentence_rng(master_seed, batch_index, position).
+
+    One Philox generator serves every request: it is re-keyed to the key
+    that sentence_rng's SeedSequence derives, with counter 0 and an empty
+    buffer, which is the state a new Philox starts in.
+    """
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for position, k in requests:
+        sequence = np.random.SeedSequence(master_seed, spawn_key=(batch_index, position))
+        state["state"]["key"] = sequence.generate_state(2, np.uint64)
+        bit_generator.state = state
+        yield rng.random(k).tolist()
+
+
+def _batch_probabilities(batch_scores: Sequence[SentenceScores], beta: float) -> tuple[list, list]:
+    """replacement_probabilities in tfidf mode for every sentence of a batch.
+
+    Sentences with the same number n of distinct terms are stacked into
+    one (k, n) array. Each row's sum over a contiguous row of equal length
+    adds in the same order as np.mean over that sentence alone, so every
+    probability is bit-equal to the per-sentence result; padding rows of
+    different lengths to one width would change that order.
+
+    Returns the probability lists and forced positions, None and 0 for a
+    sentence with no terms.
+    """
+    probabilities: list = [None] * len(batch_scores)
+    forced = [0] * len(batch_scores)
+    groups: dict[int, list[int]] = {}
+    for index, scores in enumerate(batch_scores):
+        if scores.n_terms:
+            groups.setdefault(scores.n_terms, []).append(index)
+    for n, rows in groups.items():
+        z = np.stack([batch_scores[index].scores for index in rows])
+        spread = np.ptp(z, axis=1) > 0
+        p = np.zeros_like(z)
+        centered = z[spread] - z[spread].min(axis=1, keepdims=True)
+        p[spread] = np.minimum(beta * centered / (np.add.reduce(centered, axis=1, keepdims=True) / n), 1.0)
+        top = z.argmax(axis=1)  # first maximum == lowest term id
+        p[np.arange(len(rows)), top] = 1.0
+        for index, row, position in zip(rows, p.tolist(), top.tolist()):
+            probabilities[index], forced[index] = row, position
+    return probabilities, forced
+
+
+def _window_picks(
+    model: TfIdfModel, term_ids: np.ndarray, draws: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_sample_from_rank_window for many terms at once, given each term's random() draw.
+
+    Same masses, branch, search and clamp as the scalar sampler, so each
+    pick is identical to it. Returns the picks and a mask of the terms whose
+    window has zero mass: the scalar sampler draws integers() for those, so
+    their picks here are meaningless.
+    """
+    # Windows clip at the vocabulary edge, so a radius above m changes
+    # nothing, and clamping it keeps rank +- radius inside int64.
+    radius = min(radius, model.m)
+    rank = model._rank_of[term_ids]
+    low = np.maximum(rank - radius, 0)
+    high = np.minimum(rank + radius, model.m - 1)
+    prefix = model.score_prefix
+    below = prefix[rank] - prefix[low]
+    above = prefix[high + 1] - prefix[rank + 1]
+    total = below + above
+    target = draws * total
+    lower = target < below
+    start = np.where(lower, low, rank + 1)
+    end = np.where(lower, rank, high + 1)
+    offset = np.where(lower, target, target - below)
+    stop = prefix.searchsorted(prefix[start] + offset, side="right")
+    return model.rank_by_score[np.minimum(stop, end) - 1], ~(total > 0)
+
+
+def _augment_guided(
+    model: TfIdfModel,
+    documents: Sequence[Document],
+    batch_scores: Sequence[SentenceScores],
+    config: AugmentationConfig,
+    batch_index: int,
+) -> list[AugmentedSentence]:
+    """augment_sentence with sentence_rng for a whole batch in tfidf/tfidf mode.
+
+    One bulk draw of 2n values from the sentence's stream covers a
+    sentence of n terms: one decision per term, then one window draw per
+    replaced term, in augment_sentence's order. All window draws of the
+    batch are resolved by one _window_picks call. A sentence with a
+    zero-mass window is recomputed by augment_sentence, whose fallback draws
+    integers() and so reads a different stream.
+    """
+    probabilities, forced = _batch_probabilities(batch_scores, config.beta)
+    requests = [(position, 2 * scores.n_terms) for position, scores in enumerate(batch_scores) if scores.n_terms]
+    outcomes: list = [None] * len(documents)
+    picked_terms, picked_draws, owners = [], [], []
+    for (position, _), draws in zip(requests, _sentence_draws(config.seed, batch_index, requests)):
+        scores = batch_scores[position]
+        term_ids, replaced, used, first = scores.term_ids.tolist(), [], 0, len(picked_terms)
+        for term_id, probability in zip(term_ids, probabilities[position]):
+            hit = draws[used] < probability
+            used += 1
+            replaced.append(hit)
+            if hit:
+                picked_terms.append(term_id)
+                picked_draws.append(draws[used])
+                owners.append(position)
+                used += 1
+        outcomes[position] = (term_ids, replaced, first, len(picked_terms))
+
+    picks, zero_mass = _window_picks(
+        model, np.array(picked_terms, dtype=np.int64), np.array(picked_draws), config.radius
+    )
+    picks = picks.tolist()
+    fallback = {owners[index] for index in np.flatnonzero(zero_mass).tolist()}
+    term = model.vocabulary.term
+    sentences = []
+    for position, (document, scores) in enumerate(zip(documents, batch_scores)):
+        if outcomes[position] is None or position in fallback:
+            rng = sentence_rng(config.seed, batch_index, position)
+            sentences.append(augment_sentence(model, document, scores, config, rng))
+            continue
+        term_ids, replaced, first, stop = outcomes[position]
+        replacement_ids = picks[first:stop]
+        substitutions = {
+            term(term_id): term(replacement_id)
+            for term_id, replacement_id in zip(picked_terms[first:stop], replacement_ids)
+        }
+        tokens = [substitutions.get(token, token) for token in document.tokens]
+        plan = ReplacementPlan(term_ids, probabilities[position], forced[position], replaced, replacement_ids)
+        sentences.append(AugmentedSentence(document.doc_id, tokens, plan))
+    return sentences
+
+
 def augment_batch(
     model: TfIdfModel,
     documents: Sequence[Document],
@@ -328,6 +494,13 @@ def augment_batch(
     Batches are numbered from 1; negatives are produced for batch indices
     that are multiples of alpha and the result has exactly one augmented
     sentence per input document. Off-schedule batches yield None.
+
+    The batch is scored with one sentence_scores call. With tfidf selection
+    and tfidf replacement over a vocabulary of two or more terms, the whole
+    batch is augmented at once by _augment_guided; otherwise (either random
+    mode, which draws integers(), or m <= 1) each sentence goes through
+    augment_sentence with its sentence_rng stream. Both give the same
+    output: augment_sentence is the batch path's oracle and its fallback.
     """
     if not documents:
         raise ValueError("batch must be non-empty")
@@ -336,11 +509,14 @@ def augment_batch(
     if batch_index % config.alpha != 0:
         return None
 
-    scored = zip(documents, sentence_scores(model, [document.tokens for document in documents]))
-    sentences = [
-        augment_sentence(model, document, scores, config, sentence_rng(config.seed, batch_index, position))
-        for position, (document, scores) in enumerate(scored)
-    ]
+    batch_scores = sentence_scores(model, [document.tokens for document in documents])
+    if config.selection_mode == config.replacement_mode == MODE_TFIDF and model.m > 1:
+        sentences = _augment_guided(model, documents, batch_scores, config, batch_index)
+    else:
+        sentences = [
+            augment_sentence(model, document, scores, config, sentence_rng(config.seed, batch_index, position))
+            for position, (document, scores) in enumerate(zip(documents, batch_scores))
+        ]
     return NegativeBatch(batch_index, sentences)
 
 

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_documents, corpus_from_token_lists, synthetic_model, zipf_corpus
@@ -12,7 +12,9 @@ from una.augment import (
     AugmentationConfig,
     EmptySentenceError,
     NoReplacementError,
+    _batch_probabilities,
     _sample_from_rank_window,
+    _sentence_draws,
     _unclamped_probabilities,
     augment_batch,
     augment_sentence,
@@ -485,3 +487,215 @@ class TestSelectionBias:
             high_rate.append(outcomes[highest])
         assert np.mean(high_rate) == 1.0  # forced argmax
         assert np.mean(low_rate) == 0.0  # probability exactly 0 at the minimum
+
+
+def oracle_batch(model, documents, config, batch_index):
+    """augment_sentence with its own sentence_rng stream, one sentence at a time."""
+    batch_scores = sentence_scores(model, [document.tokens for document in documents])
+    return [
+        augment_sentence(model, document, scores, config, sentence_rng(config.seed, batch_index, position))
+        for position, (document, scores) in enumerate(zip(documents, batch_scores))
+    ]
+
+
+def assert_matches_oracle(model, documents, config, batch_index):
+    batch = augment_batch(model, documents, config, batch_index)
+    expected = oracle_batch(model, documents, config, batch_index)
+    assert len(batch.sentences) == len(expected)
+    for got, want in zip(batch.sentences, expected):
+        assert got.source_id == want.source_id
+        assert got.tokens == want.tokens
+        assert got.unaugmentable == want.unaugmentable
+        assert (got.plan is None) == (want.plan is None)
+        if want.plan is not None:
+            assert got.plan.entries == want.plan.entries
+            assert list(got.plan) == want.plan.entries and len(got.plan) == len(want.plan)
+
+
+def zero_score_model(n_common, other_docs):
+    """Model fitted on documents that all hold the n_common terms c0, c1, ...
+    (idf 0, so max score 0) plus the given other terms."""
+    common = [f"c{k}" for k in range(n_common)]
+    return fit(corpus_from_token_lists([common + list(other) for other in other_docs]))
+
+
+class TestBatchStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "batch_index, position", [(1, 0), (5, 63), (10**9, 7), (2**40, 2**33), (2**70, 2**64 + 3)]
+    )
+    def test_rekeyed_philox_matches_sentence_rng(self, seed, batch_index, position):
+        requests = [(position, k) for k in range(1, 41)]
+        for k, draws in zip(range(1, 41), _sentence_draws(seed, batch_index, requests)):
+            assert draws == sentence_rng(seed, batch_index, position).random(k).tolist()
+
+    def test_rekeying_after_partial_buffer(self):
+        # Odd draw counts leave the generator mid-buffer; re-keying must
+        # start the next stream from an empty buffer all the same.
+        requests = [(3, 1), (0, 5), (3, 7), (9, 2), (0, 3)]
+        for (position, k), draws in zip(requests, _sentence_draws(4, 2, requests)):
+            assert draws == sentence_rng(4, 2, position).random(k).tolist()
+
+    def test_scalar_draws_equal_bulk_draws(self):
+        rng = sentence_rng(5, 1, 2)
+        scalar = [rng.random() for _ in range(9)]
+        assert scalar == sentence_rng(5, 1, 2).random(9).tolist()
+
+
+class TestBatchProbabilities:
+    @pytest.mark.parametrize("rows", [1, 3, 17])
+    def test_grouped_row_sum_equals_mean(self, rows):
+        # 1..300 covers the 8-wide unrolled block and numpy's 128-element
+        # recursion of pairwise summation.
+        rng = np.random.default_rng(rows)
+        for n in range(1, 301):
+            block = rng.random((rows, n)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+            sums = np.add.reduce(block, axis=1) / n
+            for row in range(rows):
+                assert sums[row].tobytes() == np.mean(block[row]).tobytes(), (n, row)
+
+    def test_matches_per_sentence_probabilities(self):
+        rng = np.random.default_rng(8)
+        lengths = [0, *range(1, 301), *rng.integers(1, 301, size=60), 1, 5, 5]
+        batch = []
+        for n in lengths:
+            values = rng.random(n) * 3.0
+            if n % 7 == 0:
+                values[:] = 0.25  # all-equal scores
+            batch.append(SentenceScores(np.arange(n), values))
+        for beta in (5e-324, 0.1, 0.5, 1.0):
+            probabilities, forced = _batch_probabilities(batch, beta)
+            for scores, got, position in zip(batch, probabilities, forced):
+                if scores.n_terms == 0:
+                    assert got is None
+                    continue
+                want, want_forced = replacement_probabilities(scores, beta)
+                assert np.array(got).tobytes() == want.tobytes()
+                assert position == want_forced
+
+
+class TestBatchPath:
+    @pytest.mark.parametrize("seed", [1, 2, 11])
+    @pytest.mark.parametrize("radius", [1, 3, 50, 4000])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
+    def test_matches_oracle_on_zipf_batch(self, seed, radius, beta):
+        corpus = zipf_corpus(np.random.default_rng(seed), n_sentences=300, vocab_size=200)
+        model = fit(corpus)
+        documents = corpus_documents(corpus)[:64]
+        documents += [Document(64, ["zzz", "qqq"]), Document(65, []), Document(66, documents[0].tokens * 3)]
+        config = AugmentationConfig(beta=beta, radius=radius, alpha=1, seed=seed)
+        assert_matches_oracle(model, documents, config, seed + 6)
+
+    def test_zero_mass_windows_fall_back(self):
+        # c0..c3 occur in every document: score 0, ranks 0..3. A sentence of
+        # common terms only forces c0, whose radius-2 window c1, c2 has no
+        # mass, so the per-sentence path draws integers() for it.
+        model = zero_score_model(4, [["x"], ["y", "z"], ["x", "z"]])
+        assert model.max_score[:4].tolist() == [0.0] * 4
+        documents = [
+            Document(0, ["c0", "c1"]),
+            Document(1, ["c2", "x", "c0"]),
+            Document(2, ["c3"]),
+            Document(3, ["y", "oov"]),
+            Document(4, ["oov"]),
+        ]
+        for seed in range(20):
+            config = AugmentationConfig(radius=2, alpha=1, seed=seed)
+            assert_matches_oracle(model, documents, config, 1)
+        # the fallback is taken: c0's window has zero mass
+        prefix = model.score_prefix
+        rank = model.rank_of(model.vocabulary.get("c0"))
+        assert prefix[rank + 3] - prefix[rank] == 0.0
+
+    @pytest.mark.parametrize("terms", [["x"], ["x", "y"]])
+    def test_tiny_vocabularies(self, terms):
+        model = fit(corpus_from_token_lists([terms, terms[:1]]))
+        documents = [Document(i, tokens) for i, tokens in enumerate([terms, terms[::-1] * 2, ["oov"], terms[:1]])]
+        for seed in range(10):
+            assert_matches_oracle(model, documents, AugmentationConfig(radius=3, alpha=1, seed=seed), 2)
+
+    def test_huge_radius_equals_vocabulary_radius(self):
+        corpus = zipf_corpus(np.random.default_rng(3), n_sentences=100, vocab_size=60)
+        model = fit(corpus)
+        documents = corpus_documents(corpus)[:32]
+        wide = augment_batch(model, documents, AugmentationConfig(radius=model.m, alpha=1, seed=4), 1)
+        huge = augment_batch(model, documents, AugmentationConfig(radius=10**30, alpha=1, seed=4), 1)
+        assert [s.tokens for s in huge.sentences] == [s.tokens for s in wide.sentences]
+        assert [s.plan.entries for s in huge.sentences] == [s.plan.entries for s in wide.sentences]
+        assert_matches_oracle(model, documents, AugmentationConfig(radius=10**30, alpha=1, seed=4), 1)
+
+
+@st.composite
+def guided_models(draw):
+    """A model fitted on documents that all hold its first few terms (idf 0,
+    max score 0), or a hand-built one whose idf and max scores are drawn
+    freely, zeros included; m ranges from 1 to 40."""
+    if draw(st.booleans()):
+        n_common = draw(st.integers(0, 4))
+        pool = [f"w{k}" for k in range(draw(st.integers(1, 36)))]
+        other_docs = draw(st.lists(st.lists(st.sampled_from(pool), max_size=16), min_size=1, max_size=8))
+        if not n_common:
+            other_docs[0].append(pool[0])  # at least one term, so m >= 1
+        return zero_score_model(n_common, other_docs)
+    m = draw(st.integers(1, 40))
+    values = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=m, max_size=m)
+    return synthetic_model(draw(values), draw(values))
+
+
+@st.composite
+def guided_batches(draw):
+    """A model with zero-score terms and a batch mixing OOV-only, empty,
+    single-term, all-equal-score, repeated-term and many-term sentences."""
+    model = draw(guided_models())
+    terms = model.vocabulary.terms
+    flat = [term for term, idf in zip(terms, model.idf.tolist()) if idf == 0] or terms
+    sentences = draw(
+        st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(terms + ["oov1", "oov2"]), max_size=30),
+                st.lists(st.sampled_from(["oov1", "oov2"]), max_size=3),
+                st.lists(st.sampled_from(terms), min_size=1, max_size=1),
+                st.lists(st.sampled_from(flat), min_size=1, max_size=6),
+                # many distinct terms: rows long enough for pairwise summation's blocks
+                st.lists(st.sampled_from(terms), min_size=min(9, len(terms)), max_size=40, unique=True),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    documents = [Document(i, tokens) for i, tokens in enumerate(sentences)]
+    config = AugmentationConfig(
+        beta=draw(st.sampled_from([5e-324, 1e-9, 0.5, 1.0])),
+        radius=draw(st.integers(1, model.m + 5)),
+        alpha=1,
+        seed=draw(st.sampled_from([0, 7, 2**64 - 1])),
+    )
+    return model, documents, config, draw(st.integers(1, 2**40))
+
+
+def mixed_length_case():
+    """Sentences of 1 to 24 distinct terms with unrounded scores in one
+    batch: padding them to one width would regroup the row sums."""
+    rng = np.random.default_rng(12)
+    model = synthetic_model(rng.random(40) * 5, rng.random(40) * 3)
+    documents = [
+        Document(n, [f"t{k}" for k in rng.choice(40, size=n, replace=False)] + ["t0"] * (n % 3))
+        for n in range(1, 25)
+    ]
+    return model, documents, AugmentationConfig(radius=5, alpha=1, seed=3), 1
+
+
+def zero_mass_case():
+    """Sentences whose forced term has a window of zero-score terms only."""
+    model = zero_score_model(4, [["x"], ["y", "z"], ["x", "z"]])
+    documents = [Document(i, tokens) for i, tokens in enumerate([["c0", "c1"], ["c3", "c2"], ["c0"], ["x", "c1"]])]
+    return model, documents, AugmentationConfig(radius=1, alpha=1, seed=5), 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(guided_batches())
+@example(mixed_length_case())
+@example(zero_mass_case())
+def test_batch_path_matches_per_sentence_oracle(case):
+    model, documents, config, batch_index = case
+    assert_matches_oracle(model, documents, config, batch_index)

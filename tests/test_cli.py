@@ -149,6 +149,20 @@ class TestAugment:
         assert rc == 2
         capsys.readouterr()
 
+    def test_radius_beyond_int64_equals_vocabulary_radius(self, tmp_path, model_file, capsys):
+        source = self.make_input(tmp_path, 40)
+        m = load_model(model_file).m
+        outputs = []
+        for radius in (str(10**30), str(m)):
+            out = tmp_path / f"r{len(radius)}.tsv"
+            rc = main(
+                ["augment", "--model", str(model_file), "--input", str(source), "--output", str(out),
+                 "--alpha", "1", "--batch-size", "8", "--seed", "9", "--radius", radius]
+            )
+            assert rc == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     def test_corrupt_model_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad_model.txt"
         bad.write_text("not a model\n", encoding="utf-8")
