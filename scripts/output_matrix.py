@@ -12,6 +12,9 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   1-20 x radius 3/50/4000 (alpha 1, batch size 16);
 - `una augment` on the augment-guided input with that seed's model and the
   benchmark's flags, seeds 1-3;
+- guided `una augment` with the two-word seeds 2**32 + 5 and 2**64 - 1, on
+  the sample corpus (radius 50, alpha 1, batch size 16) and on the
+  augment-guided input of seed 1 with the benchmark's flags;
 - `una augment` on the sample corpus with beta 0.1 and 1.0, seeds 1-5 x
   radius 3/50/4000 (alpha 1, batch size 16);
 - `una fit` on a small corpus written by this script in which four terms
@@ -26,7 +29,7 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   only to standard output;
 - the standard output of every run.
 
-That is 257 files per side. The script prints how many are identical,
+That is 265 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -51,6 +54,9 @@ BETA_SEEDS = range(1, 6)
 ZERO_SCORE_SEEDS = range(1, 6)
 ZERO_SCORE_RADII = (1, 2)
 RANDOM_MODE_SEEDS = range(1, 6)
+# Seeds of two 32-bit words, so that the per-sentence streams hash more
+# than one seed word.
+MULTI_WORD_SEEDS = (2**32 + 5, 2**64 - 1)
 # The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
 BENCH_AUGMENT_FLAGS = [
     "--alpha", "1", "--batch-size", "64", "--radius", "4000", "--beta", "0.5",
@@ -110,6 +116,12 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     for seed in GEN_SEEDS:
         source = inputs / f"augment-guided-{seed}" / "augment_input.txt"
         matrix.append(augment(f"augment-guided-{seed}", f"fit-model-{seed}", source, seed, BENCH_AUGMENT_FLAGS))
+    for seed in MULTI_WORD_SEEDS:
+        flags = ["--radius", "50", "--alpha", "1", "--batch-size", "16"]
+        matrix.append(augment(f"augment-sample-s{seed}-r50", "fit-sample", SAMPLE_CORPUS, seed, flags))
+        source = inputs / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
+        name = f"augment-guided-{GEN_SEEDS[0]}-s{seed}"
+        matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, seed, BENCH_AUGMENT_FLAGS))
     for seed in BETA_SEEDS:
         for radius in SAMPLE_RADII:
             for beta in SAMPLE_BETAS:

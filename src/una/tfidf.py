@@ -27,7 +27,12 @@ import numpy as np
 
 from .corpus import Corpus, Vocabulary, tokenize
 
-_HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=(\d+) m=(\d+)$")
+# [0-9], not \d: \d also matches non-ASCII digits such as "٣", which int() reads.
+_HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=([0-9]+) m=([0-9]+)$")
+
+# Term lines whose score texts load_model checks with one call: enough to
+# keep the check off each field, few enough that holding them costs little.
+_SCORE_CHECK_LINES = 1024
 
 # Documents per chunk of fit: large enough that numpy's per-call cost is
 # spread over ~50k tokens, small enough that the chunk's arrays stay a few MB.
@@ -231,6 +236,92 @@ def _parse_score(value: str, line_number: int, label: str) -> float:
     return parsed
 
 
+def _plain_score_text(text: str) -> bool:
+    """Whether text is ASCII and holds no underscore or whitespace.
+
+    float() also reads "1_0", " 0.25 " and non-ASCII digits, which
+    save_model would write back differently.
+    """
+    return text.isascii() and "_" not in text and text.split() == [text]
+
+
+def _check_score_texts(score_texts: list[str], first_line_number: int) -> None:
+    """Reject the first text that float() read but that is not plain.
+
+    score_texts holds the idf and max_score texts of consecutive lines in
+    turn. One check covers them all joined; only when it fails are they
+    scanned one by one to name the line.
+    """
+    if _plain_score_text("".join(score_texts)):
+        return
+    for index, text in enumerate(score_texts):
+        if not _plain_score_text(text):
+            label = ("idf", "max_score")[index % 2]
+            raise ModelFormatError(first_line_number + index // 2, f"bad {label} value {text!r}")
+
+
+def _rank_ids(rank_lines: list[str], max_score: np.ndarray) -> np.ndarray | None:
+    """The rank section's ids if they pass every check of _scan_rank_ids, else None.
+
+    The checks run on arrays: there are m tokens, all ASCII digits, each id
+    is below m, and (max_score, id) ascends strictly. Strict ascent admits
+    no id twice, so the ids are then each id below m once. An id too large
+    for int64 also gives None.
+    """
+    m = max_score.size
+    tokens = " ".join(rank_lines).split()
+    if len(tokens) != m:
+        return None
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    digits = "".join(tokens)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        ids = np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return None
+    if ids.max() >= m:
+        return None
+    score_steps = np.diff(max_score[ids])
+    if not np.all((score_steps > 0) | ((score_steps == 0) & (np.diff(ids) > 0))):
+        return None
+    return ids
+
+
+def _scan_rank_ids(rank_lines: list[str], first_line_number: int, max_score: np.ndarray) -> np.ndarray:
+    """The rank section's ids, checked one at a time; raises on the first bad one."""
+    m = max_score.size
+    rank_ids: list[int] = []
+    seen = np.zeros(m, dtype=bool)
+    previous_score, previous_id = -math.inf, -1
+    for line_number, line in enumerate(rank_lines, start=first_line_number):
+        for token in line.split():
+            # isdigit() alone admits non-ASCII digits such as "²" that int() rejects
+            if not (token.isascii() and token.isdigit()):
+                raise ModelFormatError(line_number, f"bad term id {token!r} in rank section")
+            term_id = int(token)
+            if term_id >= m:
+                raise ModelFormatError(line_number, f"term id {term_id} out of range [0, {m})")
+            if seen[term_id]:
+                raise ModelFormatError(line_number, f"duplicated id {term_id} in rank section")
+            seen[term_id] = True
+            score = float(max_score[term_id])
+            # ids are distinct here, so this is rank_terms_by_score's order
+            if (score, term_id) < (previous_score, previous_id):
+                raise ModelFormatError(
+                    line_number,
+                    f"non-monotone rank section: term {term_id} breaks the (score, id) order",
+                )
+            previous_score, previous_id = score, term_id
+            rank_ids.append(term_id)
+    if len(rank_ids) != m:
+        raise ModelFormatError(
+            first_line_number + len(rank_lines) - 1, f"rank section lists {len(rank_ids)} ids, expected {m}"
+        )
+    return np.array(rank_ids, dtype=np.int64)
+
+
 def load_model(source) -> TfIdfModel:
     """Parse a model file produced by save_model; inverse up to float repr."""
     if isinstance(source, (str, Path)):
@@ -257,6 +348,7 @@ def load_model(source) -> TfIdfModel:
     vocabulary = Vocabulary()
     idf_values = np.zeros(m, dtype=np.float64)
     max_score = np.zeros(m, dtype=np.float64)
+    score_texts = []
     for term_id in range(m):
         line_number = 2 + term_id
         fields = lines[1 + term_id].split("\t")
@@ -264,44 +356,27 @@ def load_model(source) -> TfIdfModel:
             raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
         term, idf_text, score_text = fields
         # Augmented sentences are written as space-joined terms, so each term
-        # must read back as exactly itself.
-        if tokenize(term) != [term]:
+        # must read back as exactly itself. A lowercase alphanumeric term
+        # does: tokenize keeps a piece with alphanumeric ends whole, and no
+        # alphanumeric character is whitespace.
+        if not (term.isalnum() and term.lower() == term) and tokenize(term) != [term]:
             raise ModelFormatError(line_number, f"term {term!r} is not a single token")
         if term in vocabulary:
             raise ModelFormatError(line_number, f"duplicate term {term!r}")
         vocabulary.add(term)
         idf_values[term_id] = _parse_score(idf_text, line_number, "idf")
         max_score[term_id] = _parse_score(score_text, line_number, "max_score")
+        score_texts += idf_text, score_text
+        if len(score_texts) == 2 * _SCORE_CHECK_LINES or term_id == m - 1:
+            _check_score_texts(score_texts, line_number + 1 - len(score_texts) // 2)
+            score_texts.clear()
 
     ranks_line = 1 + m
     if lines[ranks_line] != "ranks:":
         raise ModelFormatError(ranks_line + 1, f"expected 'ranks:' section, got {lines[ranks_line]!r}")
 
-    rank_ids: list[int] = []
-    seen = np.zeros(m, dtype=bool)
-    previous_score, previous_id = -math.inf, -1
-    for extra, line in enumerate(lines[ranks_line + 1 :]):
-        line_number = ranks_line + 2 + extra
-        for token in line.split():
-            # isdigit() alone admits non-ASCII digits such as "²" that int() rejects
-            if not (token.isascii() and token.isdigit()):
-                raise ModelFormatError(line_number, f"bad term id {token!r} in rank section")
-            term_id = int(token)
-            if term_id >= m:
-                raise ModelFormatError(line_number, f"term id {term_id} out of range [0, {m})")
-            if seen[term_id]:
-                raise ModelFormatError(line_number, f"duplicated id {term_id} in rank section")
-            seen[term_id] = True
-            score = float(max_score[term_id])
-            # ids are distinct here, so this is rank_terms_by_score's order
-            if (score, term_id) < (previous_score, previous_id):
-                raise ModelFormatError(
-                    line_number,
-                    f"non-monotone rank section: term {term_id} breaks the (score, id) order",
-                )
-            previous_score, previous_id = score, term_id
-            rank_ids.append(term_id)
-    if len(rank_ids) != m:
-        raise ModelFormatError(len(lines), f"rank section lists {len(rank_ids)} ids, expected {m}")
-
-    return TfIdfModel(vocabulary, n_docs, idf_values, max_score, np.array(rank_ids))
+    rank_lines = lines[ranks_line + 1 :]
+    rank_ids = _rank_ids(rank_lines, max_score)
+    if rank_ids is None:
+        rank_ids = _scan_rank_ids(rank_lines, ranks_line + 2, max_score)
+    return TfIdfModel(vocabulary, n_docs, idf_values, max_score, rank_ids)

@@ -13,6 +13,7 @@ from una.augment import (
     EmptySentenceError,
     NoReplacementError,
     _batch_probabilities,
+    _philox_keys,
     _sample_from_rank_window,
     _sentence_draws,
     _unclamped_probabilities,
@@ -540,6 +541,43 @@ class TestBatchStreams:
         rng = sentence_rng(5, 1, 2)
         scalar = [rng.random() for _ in range(9)]
         assert scalar == sentence_rng(5, 1, 2).random(9).tolist()
+
+
+# Positions whose 32-bit word counts differ: one, one, two and three words.
+_EDGE_POSITIONS = [0, 2**32 - 1, 2**32, 2**64 + 3]
+
+
+def reference_keys(seed, batch_index, positions):
+    return [
+        np.random.SeedSequence(seed, spawn_key=(batch_index, position)).generate_state(2, np.uint64).tolist()
+        for position in positions
+    ]
+
+
+class TestPhiloxKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        batch_index=st.integers(0, 2**70),
+        positions=st.lists(st.one_of(st.sampled_from(_EDGE_POSITIONS), st.integers(0, 2**70)), max_size=8),
+    )
+    @example(seed=2**64 - 1, batch_index=2**70, positions=_EDGE_POSITIONS)
+    @example(seed=0, batch_index=0, positions=[])
+    def test_matches_seed_sequence(self, seed, batch_index, positions):
+        keys = _philox_keys(seed, batch_index, positions)
+        assert keys.dtype == np.uint64 and keys.shape == (len(positions), 2)
+        assert keys.tolist() == reference_keys(seed, batch_index, positions)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**64 - 1, 2**128 + 1, 2**200 + 7])
+    def test_whole_batch_of_positions(self, seed):
+        # Seeds of five words and more mix their extra words in after the pool.
+        positions = list(range(64)) + _EDGE_POSITIONS
+        assert _philox_keys(seed, 3, positions).tolist() == reference_keys(seed, 3, positions)
+
+    @pytest.mark.parametrize("seed, batch_index", [(-1, 1), (1, -1)])
+    def test_negative_coordinates_rejected(self, seed, batch_index):
+        with pytest.raises(ValueError):
+            _philox_keys(seed, batch_index, [0])
 
 
 class TestBatchProbabilities:

@@ -207,6 +207,27 @@ class TestAugment:
         assert err.startswith("error: line ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "model_text, line_number",
+        [
+            ("UNA-TFIDF v1 N=\u0663 m=2\nx\t1.0\t0.1\ny\t1.0\t0.2\nranks:\n0 1\n", 1),
+            ("UNA-TFIDF v1 N=2 m=2\nx\t1_0\t0.1\ny\t1.0\t0.2\nranks:\n0 1\n", 2),
+            ("UNA-TFIDF v1 N=2 m=2\nx\t1.0\t0.1\ny\t1.0\t 0.2 \nranks:\n0 1\n", 3),
+        ],
+    )
+    def test_non_plain_number_exits_1(self, tmp_path, capsys, model_text, line_number):
+        bad = tmp_path / "bad_model.txt"
+        bad.write_text(model_text, encoding="utf-8")
+        source = self.make_input(tmp_path, 4)
+        rc = main(
+            ["augment", "--model", str(bad), "--input", str(source),
+             "--output", str(tmp_path / "o.tsv")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_number}: bad ")
+        assert "Traceback" not in err
+
     def test_random_modes_accepted(self, tmp_path, model_file):
         source = self.make_input(tmp_path, 6)
         rc = main(

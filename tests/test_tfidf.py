@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from helpers import (
     synthetic_model,
 )
 from una import tfidf
-from una.corpus import Corpus, load_corpus
+from una.corpus import Corpus, load_corpus, tokenize
 from una.tfidf import (
     ModelFormatError,
     SentenceScores,
@@ -404,3 +405,148 @@ class TestSerialization:
             two_doc_model.rank_by_score,
         )
         assert other != two_doc_model
+
+
+_HAND_MODEL = (
+    "UNA-TFIDF v1 N=2 m=4\nw\t1.0\t0.1\nx\t1.0\t0.2\ny\t1.0\t0.3\nz\t1.0\t0.4\nranks:\n"
+)  # rank lines start at line 7; the valid order is 0 1 2 3
+
+
+def _load_error(text: str) -> ModelFormatError:
+    with pytest.raises(ModelFormatError) as err:
+        load_model(io.StringIO(text))
+    return err.value
+
+
+class TestRankSectionChecks:
+    """The rank section is checked as arrays, and only a section that fails
+    is scanned id by id, which names the first bad id and its line."""
+
+    def test_accepts_section_split_over_lines(self):
+        model = load_model(io.StringIO(_HAND_MODEL + "0 1\n2\n3\n"))
+        assert model.rank_by_score.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "ranks, line_number, message",
+        [
+            ("0 1\n1 3", 8, "duplicated id 1 in rank section"),
+            ("0 2\n1 3", 8, "non-monotone rank section: term 1 breaks the (score, id) order"),
+            ("0 1\n2 x", 8, "bad term id 'x' in rank section"),
+            ("0 1\n2 \u00b3", 8, "bad term id '\u00b3' in rank section"),
+            ("0 1\n2 4", 8, "term id 4 out of range [0, 4)"),
+            ("0 1\n2 99999999999999999999", 8, "term id 99999999999999999999 out of range [0, 4)"),
+            ("0 1\n2", 8, "rank section lists 3 ids, expected 4"),
+            ("0 1 2 3 0", 7, "duplicated id 0 in rank section"),
+            ("", 7, "rank section lists 0 ids, expected 4"),
+        ],
+    )
+    def test_rejection_names_first_bad_id_and_line(self, ranks, line_number, message):
+        error = _load_error(_HAND_MODEL + ranks + "\n")
+        assert (error.line_number, str(error)) == (line_number, f"line {line_number}: {message}")
+
+    @pytest.mark.parametrize("last", ["003", "0" * 30 + "3"])
+    def test_leading_zeros_read_as_their_value(self, last):
+        # The second id overflows int64 as text, so only the scan reads it.
+        model = load_model(io.StringIO(_HAND_MODEL + f"0 1 2 {last}\n"))
+        assert model.rank_by_score.tolist() == [0, 1, 2, 3]
+
+    def test_empty_and_single_term_vocabularies_load(self):
+        assert load_model(io.StringIO("UNA-TFIDF v1 N=1 m=0\nranks:\n")).m == 0
+        assert load_model(io.StringIO("UNA-TFIDF v1 N=1 m=0\nranks:\n\n")).m == 0
+        model = load_model(io.StringIO("UNA-TFIDF v1 N=1 m=1\nx\t0.0\t0.0\nranks:\n0\n"))
+        assert (model.m, model.rank_by_score.tolist()) == (1, [0])
+
+    def test_empty_vocabulary_rejects_an_id(self):
+        error = _load_error("UNA-TFIDF v1 N=1 m=0\nranks:\n0\n")
+        assert (error.line_number, str(error)) == (3, "line 3: term id 0 out of range [0, 0)")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_array_checks_agree_with_scan(self, data):
+        # A valid section, maybe shuffled, with up to two ids replaced or
+        # inserted, broken into lines at random.
+        m = data.draw(st.integers(0, 6))
+        max_score = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m)))
+        tokens = [str(term_id) for term_id in tfidf.rank_terms_by_score(max_score).tolist()]
+        if data.draw(st.booleans()):
+            tokens = data.draw(st.permutations(tokens))
+        for _ in range(data.draw(st.integers(0, 2))):
+            token = data.draw(st.sampled_from(["0", "1", "7", "00", "x", "-1", "\u0661", "9" * 20]))
+            index = data.draw(st.integers(0, len(tokens)))
+            if index < len(tokens) and data.draw(st.booleans()):
+                tokens[index] = token
+            else:
+                tokens.insert(index, token)
+        lines = [""]
+        for token in tokens:
+            if data.draw(st.booleans()):
+                lines.append("")
+            lines[-1] += f" {token}"
+
+        fast = tfidf._rank_ids(lines, max_score)
+        try:
+            scanned = tfidf._scan_rank_ids(lines, 7, max_score)
+        except ModelFormatError:
+            assert fast is None
+        else:
+            assert fast is not None and fast.tolist() == scanned.tolist()
+
+
+class TestPlainText:
+    @pytest.mark.parametrize("header", ["UNA-TFIDF v1 N=\u0663 m=2", "UNA-TFIDF v1 N=2 m=\u0662"])
+    def test_header_rejects_non_ascii_digits(self, two_doc_model, header):
+        buffer = io.StringIO()
+        save_model(two_doc_model, buffer)
+        lines = buffer.getvalue().split("\n")
+        lines[0] = header
+        assert _load_error("\n".join(lines)).line_number == 1
+
+    @pytest.mark.parametrize("text", ["1_0", " 0.25", "0.25 ", "0.2\u00a0", "\x0b0.5", "\u0663", "0.\u0662", "\u0663e1"])
+    @pytest.mark.parametrize("field, label", [(1, "idf"), (2, "max_score")])
+    def test_score_text_must_be_plain(self, two_doc_model, text, field, label):
+        buffer = io.StringIO()
+        save_model(two_doc_model, buffer)
+        lines = buffer.getvalue().split("\n")
+        fields = lines[2].split("\t")
+        fields[field] = text
+        lines[2] = "\t".join(fields)
+        error = _load_error("\n".join(lines))
+        assert (error.line_number, str(error)) == (3, f"line 3: bad {label} value {text!r}")
+
+    def test_first_bad_score_text_is_named(self, two_doc_model):
+        buffer = io.StringIO()
+        save_model(two_doc_model, buffer)
+        lines = buffer.getvalue().split("\n")
+        lines[2] = "b\t1_0\t0.1"
+        lines[3] = "c\t0.5\t 0.1"
+        assert str(_load_error("\n".join(lines))) == "line 3: bad idf value '1_0'"
+
+    def test_bad_score_text_named_across_check_chunks(self):
+        # Score texts are checked a chunk of lines at a time.
+        chunk = tfidf._SCORE_CHECK_LINES
+        m = 2 * chunk + 5
+        rows = [f"t{term_id}\t1.0\t0.5" for term_id in range(m)]
+        ranks = "ranks:\n" + " ".join(map(str, range(m))) + "\n"
+        header = f"UNA-TFIDF v1 N=2 m={m}\n"
+        assert load_model(io.StringIO(header + "\n".join(rows) + "\n" + ranks)).m == m
+        for bad in [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, m - 1]:
+            lines = list(rows)
+            lines[bad] += " "
+            error = _load_error(header + "\n".join(lines) + "\n" + ranks)
+            assert str(error) == f"line {bad + 2}: bad max_score value '0.5 '"
+
+    def test_lowercase_alphanumeric_code_points_are_one_token(self):
+        # load_model accepts a term that is alphanumeric and its own
+        # lowercase without calling tokenize.
+        for code_point in range(sys.maxunicode + 1):
+            char = chr(code_point)
+            if char.isalnum():
+                assert not char.isspace(), f"alphanumeric U+{code_point:04X} is whitespace"
+                if char.lower() == char:
+                    assert tokenize(char) == [char], f"U+{code_point:04X}"
+
+    @settings(max_examples=300)
+    @given(st.text(st.characters(categories=["L", "N"]), min_size=1, max_size=12))
+    def test_lowercase_alphanumeric_terms_are_one_token(self, text):
+        if text.isalnum() and text.lower() == text:
+            assert tokenize(text) == [text]
