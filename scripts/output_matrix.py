@@ -25,11 +25,15 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
 - `una augment` on the sample corpus with random selection, with random
   replacement, and with both, seeds 1-5 (radius 50, alpha 1, batch size
   16);
-- `una loss-demo` on the sample corpus and pairs, seeds 1-5, which writes
-  only to standard output;
+- `una loss-demo` on the sample corpus and pairs, seeds 1-5, at the
+  default dim and at --dim 1 and 7, which writes only to standard output;
+- `una fit` on the train-eval model corpus made by bench/gen.py with seeds
+  1-3, then `una eval` on that seed's dev pairs with the model fitted on
+  it, at --dim 1, 7, 256 and 4096 and --encoder-seed 0 and 2**64 - 1,
+  which writes only to standard output;
 - the standard output of every run.
 
-That is 265 files per side. The script prints how many are identical,
+That is 305 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -57,6 +61,9 @@ RANDOM_MODE_SEEDS = range(1, 6)
 # Seeds of two 32-bit words, so that the per-sentence streams hash more
 # than one seed word.
 MULTI_WORD_SEEDS = (2**32 + 5, 2**64 - 1)
+LOSS_DEMO_DIMS = (1, 7)
+EVAL_DIMS = (1, 7, 256, 4096)
+EVAL_ENCODER_SEEDS = (0, 2**64 - 1)
 # The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
 BENCH_AUGMENT_FLAGS = [
     "--alpha", "1", "--batch-size", "64", "--radius", "4000", "--beta", "0.5",
@@ -81,11 +88,11 @@ def write_zero_score_corpus(path: Path) -> None:
 
 
 def make_inputs(work: Path) -> None:
-    """Write the zero-score corpus and the bench/gen.py inputs of both
-    workloads for every seed."""
+    """Write the zero-score corpus and the bench/gen.py inputs of every
+    workload for every seed."""
     work.mkdir(parents=True)
     write_zero_score_corpus(work / "zero_score_corpus.txt")
-    for workload in ("fit-corpus", "augment-guided"):
+    for workload in ("fit-corpus", "augment-guided", "train-eval"):
         for seed in GEN_SEEDS:
             out = work / f"{workload}-{seed}"
             subprocess.run(
@@ -97,7 +104,7 @@ def make_inputs(work: Path) -> None:
 
 def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     """(name, una arguments) of every run, each model fitted before it is
-    used; a run other than loss-demo writes its output file to out / name."""
+    used; a fit or augment run writes its output file to out / name."""
     def fit(name: str, corpus: Path) -> tuple[str, list[str]]:
         return name, ["fit", "--corpus", str(corpus), "--output", str(out / name)]
 
@@ -141,8 +148,19 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
             flags += [option for mode in modes for option in (f"--{mode}-mode", "random")]
             name = f"augment-sample-s{seed}-random-{'-'.join(modes)}"
             matrix.append(augment(name, "fit-sample", SAMPLE_CORPUS, seed, flags))
-        matrix.append((f"loss-demo-s{seed}", ["loss-demo", "--corpus", str(SAMPLE_CORPUS),
-                                              "--pairs", str(SAMPLE_PAIRS), "--seed", str(seed)]))
+        demo = ["loss-demo", "--corpus", str(SAMPLE_CORPUS), "--pairs", str(SAMPLE_PAIRS), "--seed", str(seed)]
+        matrix.append((f"loss-demo-s{seed}", demo))
+        for dim in LOSS_DEMO_DIMS:
+            matrix.append((f"loss-demo-s{seed}-d{dim}", [*demo, "--dim", str(dim)]))
+    for seed in GEN_SEEDS:
+        train_eval = inputs / f"train-eval-{seed}"
+        model = f"fit-train-model-{seed}"
+        matrix.append(fit(model, train_eval / "model_corpus.txt"))
+        for dim in EVAL_DIMS:
+            for encoder_seed in EVAL_ENCODER_SEEDS:
+                evaluate = ["eval", "--pairs", str(train_eval / "dev_pairs.tsv"), "--model", str(out / model)]
+                flags = ["--dim", str(dim), "--encoder-seed", str(encoder_seed)]
+                matrix.append((f"eval-train-{seed}-d{dim}-e{encoder_seed}", [*evaluate, *flags]))
     return matrix
 
 

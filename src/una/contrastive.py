@@ -50,8 +50,8 @@ def cosine_similarity(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
+    norm_u = math.sqrt(u.dot(u))
+    norm_v = math.sqrt(v.dot(v))
     if norm_u == 0.0 or norm_v == 0.0:
         raise ValueError("cosine similarity is undefined for zero vectors")
     return float(u @ v) / (norm_u * norm_v)
@@ -137,6 +137,12 @@ def batch_loss(
     return float(np.mean(log_denominator - positive_logits))
 
 
+# Most rows one encode gathers at a time: a longer token list (such as a
+# whole vocabulary warmed in one call) is summed a chunk at a time, so its
+# temporaries stay within this many rows.
+GATHER_ROWS = 1024
+
+
 class ToyEncoder:
     """Deterministic bag-of-words encoder over fixed random term vectors.
 
@@ -144,28 +150,49 @@ class ToyEncoder:
     by (encoder seed, stable hash of the term string), so embeddings
     depend only on the seed, never on process state or insertion order.
     A sentence embeds as the normalized sum of its in-vocabulary token
-    vectors; a sentence with none gets the first basis vector. The
-    term-vector cache is write-once: concurrent encoders recompute the
-    same value at worst.
+    vectors, each scaled by its count; a sentence with none gets the first
+    basis vector.
+
+    The term vectors live in one float64 table of a row per vocabulary
+    term, allocated on the first encode and filled a row at a time the
+    first time a term is seen. Ascending row index is ascending string
+    order of the terms, so a sentence's rows, sorted, are summed in term
+    order from 0.0: the embedding is bit-identical under any permutation
+    of the input tokens. Terms added to the vocabulary later get rows on
+    the next encode.
     """
 
     def __init__(self, vocabulary: Vocabulary, dim: int = 256, seed: int = 0):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
         self.vocabulary = vocabulary
         self.dim = dim
         self.seed = seed
-        self._vectors: dict[str, np.ndarray] = {}
+        self._terms: list[str] = []  # row -> term, in string order
+        self._rows: dict[str, int] = {}
+        self._table = np.empty((0, dim))
+        self._filled = bytearray()
 
     def _term_vector(self, term: str) -> np.ndarray:
-        vector = self._vectors.get(term)
-        if vector is None:
-            digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
-            sequence = np.random.SeedSequence([self.seed, int.from_bytes(digest, "big")])
-            raw = np.random.default_rng(sequence).standard_normal(self.dim)
-            vector = raw / np.linalg.norm(raw)
-            self._vectors[term] = vector
-        return vector
+        digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
+        sequence = np.random.SeedSequence([self.seed, int.from_bytes(digest, "big")])
+        raw = np.random.default_rng(sequence).standard_normal(self.dim)
+        return raw / np.linalg.norm(raw)
+
+    def _index_vocabulary(self) -> None:
+        """Give every vocabulary term its row and move filled rows there."""
+        terms = sorted(self.vocabulary)
+        rows = {term: row for row, term in enumerate(terms)}
+        table = np.empty((len(terms), self.dim))
+        filled = bytearray(len(terms))
+        for old_row, term in enumerate(self._terms):
+            if self._filled[old_row]:
+                row = rows[term]
+                table[row] = self._table[old_row]
+                filled[row] = 1
+        self._terms, self._rows, self._table, self._filled = terms, rows, table, filled
 
     def _fallback(self) -> np.ndarray:
         vector = np.zeros(self.dim)
@@ -173,18 +200,38 @@ class ToyEncoder:
         return vector
 
     def encode(self, tokens: Iterable[str]) -> np.ndarray:
-        counts: dict[str, int] = {}
+        if len(self._terms) != len(self.vocabulary):
+            self._index_vocabulary()
+        rows = self._rows
+        counts: dict[int, int] = {}
         for token in tokens:
-            if token in self.vocabulary:
-                counts[token] = counts.get(token, 0) + 1
+            row = rows.get(token)
+            if row is not None:
+                counts[row] = counts.get(row, 0) + 1
         if not counts:
             return self._fallback()
-        # Summing in sorted term order makes the embedding bit-identical
-        # under any permutation of the input tokens.
-        total = np.zeros(self.dim)
-        for token in sorted(counts):
-            total += counts[token] * self._term_vector(token)
-        norm = np.linalg.norm(total)
+        order = sorted(counts)
+        table, filled = self._table, self._filled
+        for row in order:
+            if not filled[row]:
+                table[row] = self._term_vector(self._terms[row])
+                filled[row] = 1
+        # One gather and one ordered reduce per chunk: 0.0 + r0 + r1 + ...
+        # over the count-scaled rows, with the running total carried into
+        # the next chunk's first row, which keeps that order. (At dim 1
+        # numpy may group the additions otherwise, but every row is then
+        # +-count, a whole number, so the sum is exact in any order.)
+        total = None
+        for start in range(0, len(order), GATHER_ROWS):
+            chunk = order[start : start + GATHER_ROWS]
+            block = table.take(chunk, axis=0)
+            for k, row in enumerate(chunk):
+                if counts[row] != 1:
+                    block[k] *= counts[row]
+            if total is not None:
+                block[0] += total
+            total = np.add.reduce(block, axis=0, initial=0.0)
+        norm = math.sqrt(total.dot(total))
         if norm == 0.0:
             return self._fallback()
         return total / norm

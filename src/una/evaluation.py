@@ -42,14 +42,14 @@ def average_ranks(values) -> np.ndarray:
     """1-based fractional ranks; tied values share the mean of their span."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    span_start = np.ones(values.size, dtype=bool)
+    span_start[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(span_start)
+    lengths = np.diff(np.append(starts, values.size))
+    ends = starts + lengths - 1
     ranks = np.empty(values.size, dtype=np.float64)
-    start = 0
-    while start < values.size:
-        end = start
-        while end + 1 < values.size and values[order[end + 1]] == values[order[start]]:
-            end += 1
-        ranks[order[start : end + 1]] = (start + end) / 2.0 + 1.0
-        start = end + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, lengths)
     return ranks
 
 

@@ -7,6 +7,7 @@ two sides stay independent checks of each other.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import unicodedata
 from collections import Counter
@@ -185,6 +186,54 @@ def synthetic_model(max_scores, idf_values=None) -> TfIdfModel:
     if idf_values is None:
         idf_values = np.ones(max_scores.size)
     return TfIdfModel(vocabulary, 1, idf_values, max_scores)
+
+
+def reference_average_ranks(values) -> np.ndarray:
+    """The tie-span loop that the array version replaced: walk the stably
+    sorted values and give each run of equal values the mean of its
+    1-based positions, (start + end) / 2 + 1."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    start = 0
+    while start < values.size:
+        end = start
+        while end + 1 < values.size and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        ranks[order[start : end + 1]] = (start + end) / 2.0 + 1.0
+        start = end + 1
+    return ranks
+
+
+def reference_term_vector(term: str, dim: int, seed: int) -> np.ndarray:
+    """A term's unit vector: a standard normal draw from PCG64 seeded by
+    (seed, the term's 8-byte blake2b hash), divided by its norm."""
+    digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
+    sequence = np.random.SeedSequence([seed, int.from_bytes(digest, "big")])
+    raw = np.random.default_rng(sequence).standard_normal(dim)
+    return raw / np.linalg.norm(raw)
+
+
+def reference_encode(encoder, tokens) -> np.ndarray:
+    """The toy encoder's per-term loop, the oracle of its gather-and-reduce:
+    count the in-vocabulary tokens, add count * vector into a zero vector
+    term by term in sorted term order, and normalize; the first basis
+    vector stands in for a sentence with no terms or a zero sum."""
+    fallback = np.zeros(encoder.dim)
+    fallback[0] = 1.0
+    counts: dict[str, int] = {}
+    for token in tokens:
+        if token in encoder.vocabulary:
+            counts[token] = counts.get(token, 0) + 1
+    if not counts:
+        return fallback
+    total = np.zeros(encoder.dim)
+    for token in sorted(counts):
+        total += counts[token] * reference_term_vector(token, encoder.dim, encoder.seed)
+    norm = np.linalg.norm(total)
+    if norm == 0.0:
+        return fallback
+    return total / norm
 
 
 def spearman_oracle(xs, ys) -> float:

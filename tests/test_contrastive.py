@@ -2,11 +2,14 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import reference_encode, reference_term_vector
 from una.contrastive import (
+    GATHER_ROWS,
     ContrastiveConfig,
     PairsFormatError,
     ToyEncoder,
@@ -265,6 +268,83 @@ class TestToyEncoder:
     def test_bad_dim_rejected(self, vocabulary):
         with pytest.raises(ValueError):
             ToyEncoder(vocabulary, dim=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_bad_seed_rejected_at_construction(self, vocabulary, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ToyEncoder(vocabulary, dim=8, seed=seed)
+
+    def test_large_and_numpy_seeds_accepted(self, vocabulary):
+        for seed in (0, 2**64 - 1, np.uint64(7)):
+            assert ToyEncoder(vocabulary, dim=8, seed=seed).encode(["alpha"]).shape == (8,)
+
+
+def assert_same_bytes(encoder, tokens):
+    assert encoder.encode(tokens).tobytes() == reference_encode(encoder, tokens).tobytes()
+
+
+class TestEncodeMatchesReference:
+    """encode against the per-term loop in helpers, compared bit for bit."""
+
+    TERMS = [f"w{k}" for k in range(80)] + ["Zeta", "alpha", "Ärger", "日本", "a-b", "aa", "a"]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 256])
+    def test_random_sentences(self, dim):
+        rng = np.random.default_rng(dim)
+        encoder = ToyEncoder(Vocabulary(self.TERMS), dim=dim, seed=dim + 10)
+        for _ in range(40):
+            distinct = rng.choice(self.TERMS, size=int(rng.integers(1, 65)), replace=False).tolist()
+            tokens = distinct + rng.choice(distinct, size=int(rng.integers(0, 40))).tolist()
+            rng.shuffle(tokens)
+            assert_same_bytes(encoder, tokens + ["oov-token"])
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 256])
+    def test_empty_and_oov_only(self, dim):
+        encoder = ToyEncoder(Vocabulary(self.TERMS), dim=dim, seed=1)
+        assert_same_bytes(encoder, [])
+        assert_same_bytes(encoder, ["oov", "also-oov", "oov"])
+
+    def test_zero_sum_falls_back(self):
+        # At dim 1 every term vector is +1 or -1, so one term of each sign sums to 0.
+        signs = {}
+        for term in self.TERMS:
+            signs.setdefault(reference_term_vector(term, 1, 0)[0], term)
+        pair = [signs[1.0], signs[-1.0]]
+        encoder = ToyEncoder(Vocabulary(self.TERMS), dim=1, seed=0)
+        assert_same_bytes(encoder, pair)
+        np.testing.assert_array_equal(encoder.encode(pair), [1.0])
+        assert_same_bytes(encoder, pair * 3 + [pair[0]])
+
+    def test_vocabulary_grown_after_first_encode(self):
+        vocabulary = Vocabulary(["m", "p", "t"])
+        encoder = ToyEncoder(vocabulary, dim=9, seed=4)
+        assert_same_bytes(encoder, ["p", "t", "zz", "a"])
+        for term in ("zz", "a", "n", "b"):  # new rows before, between and after the old ones
+            vocabulary.add(term)
+        for tokens in (["p", "t", "zz", "a"], ["a", "b", "m", "n", "p", "t", "zz", "m"], ["n"]):
+            assert_same_bytes(encoder, tokens)
+            np.testing.assert_array_equal(
+                encoder.encode(tokens), ToyEncoder(vocabulary, dim=9, seed=4).encode(tokens)
+            )
+
+    def test_token_list_longer_than_one_gather(self):
+        terms = [f"t{k:05d}" for k in range(2 * GATHER_ROWS + 5)]
+        encoder = ToyEncoder(Vocabulary(terms), dim=8, seed=2)
+        tokens = terms + terms[GATHER_ROWS - 3 : GATHER_ROWS + 3] + terms[:2]
+        assert_same_bytes(encoder, tokens)
+        assert_same_bytes(encoder, terms[GATHER_ROWS - 1 : GATHER_ROWS + 1])
+
+    def test_whole_vocabulary_encode_allocates_little_beyond_the_table(self):
+        terms = [f"t{k:05d}" for k in range(20_000)]
+        encoder = ToyEncoder(Vocabulary(terms), dim=256, seed=0)
+        table_bytes = len(terms) * 256 * 8
+        tracemalloc.start()
+        try:
+            encoder.encode(terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - table_bytes <= 10 * 2**20
 
 
 class TestLoadPairs:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import spearman_oracle
+from helpers import reference_average_ranks, spearman_oracle
 from una.contrastive import ToyEncoder
 from una.corpus import Vocabulary
 from una.evaluation import (
@@ -29,6 +29,24 @@ class TestAverageRanks:
 
     def test_all_equal(self):
         np.testing.assert_array_equal(average_ranks([5, 5, 5]), [2, 2, 2])
+
+    def test_empty_and_single(self):
+        assert average_ranks([]).shape == (0,)
+        np.testing.assert_array_equal(average_ranks([7.5]), [1.0])
+
+    def test_matches_tie_span_loop(self):
+        rng = np.random.default_rng(3)
+        inputs = [
+            np.full(50, 0.25),
+            np.array([0.0, -0.0, 0.0, np.inf, -np.inf, np.inf, 1.0]),
+            np.array([np.nan, 1.0, np.nan, 1.0]),
+        ]
+        for size in (2, 3, 17, 200, 1500):
+            inputs.append(rng.standard_normal(size))
+            inputs.append(rng.integers(0, 4, size).astype(float))  # many ties
+            inputs.append(rng.integers(0, size, size).astype(float))  # some ties
+        for values in inputs:
+            assert average_ranks(values).tobytes() == reference_average_ranks(values).tobytes()
 
 
 class TestSpearman:
