@@ -15,35 +15,35 @@ switched to a purely random baseline for ablation experiments.
 
 Each weighted draw reads the window's score mass from prefix sums over
 the rank order and bisects them, so it costs O(log m) and never builds
-the window; `candidate_window` and `sample_replacement` state the same
-law directly, one window at a time.
+the window; `_window_picks`, the only copy of that search, does it for
+many terms at once. `candidate_window` and `sample_replacement` state
+the same law directly, one window at a time.
 
 Randomness comes from counter-based Philox streams derived from
 (master seed, batch index, position in batch), so a sentence's negative
 does not depend on the order in which a batch's sentences are processed.
 `sentence_rng` defines each stream: a Philox generator seeded by
 numpy's SeedSequence over those coordinates. A Philox stream is fixed by
-its key alone, so the guided batch path derives the keys of all of a
+its key alone, so for every mode `_sentence_rngs` derives the keys of a
 batch's sentences in one array pass of the same SeedSequence hash
 (`_philox_keys`) and re-keys one generator with them.
 
-`augment_sentence` augments one sentence from its own stream. With tfidf
-selection and tfidf replacement, `augment_batch` does the same work a
-batch at a time: probabilities for all sentences of one term count at
-once, the keys of the whole batch at once, one re-keyed generator and
-one bulk draw per sentence, and one vectorised window search for the
-whole batch. Its output is byte-identical to `augment_sentence`, which
-stays its test oracle and its fallback for the random modes, a
-single-term vocabulary and sentences whose window has no score mass.
-Plans keep their outcomes as columns and build `TermReplacement` entries
-only when they are read.
+`augment_sentence` augments one sentence from the stream it is given: it
+runs random replacement and windows with no score mass, and is the test
+oracle of the guided path. With tfidf replacement, `augment_batch` does
+its work a batch at a time, byte-identical: tfidf probabilities for all
+sentences of one term count at once, one bulk draw per sentence and one
+`_window_picks` call for the whole batch. Sentences with no
+in-vocabulary terms come back unchanged without a stream. Plans keep
+their outcomes as columns and build `TermReplacement` entries only when
+they are read.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import compress, count, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -262,40 +262,72 @@ def sample_replacement(
     return int(window[rng.integers(window.size)])
 
 
+def _window_picks(
+    model: TfIdfModel, term_ids: np.ndarray, draws: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pick per term from candidate_window(model, term_id, radius) with
+    sample_replacement's law, given each term's random() draw.
+
+    The draw scaled by the window's score mass picks a point on the
+    cumulative scores, and a right-side bisection of score_prefix finds
+    the candidate under it: numpy choice(p=)'s draw and search, up to float
+    rounding at CDF boundaries, so zero-score candidates are never picked.
+    Also returns a mask of the windows with no score mass, whose picks are
+    meaningless.
+    """
+    # Windows clip at the vocabulary edge, so a radius above m changes
+    # nothing, and clamping it keeps rank +- radius inside int64.
+    radius = min(radius, model.m)
+    rank = model._rank_of[term_ids]
+    low = np.maximum(rank - radius, 0)
+    high = np.minimum(rank + radius, model.m - 1)
+    prefix = model.score_prefix
+    below = prefix[rank] - prefix[low]
+    above = prefix[high + 1] - prefix[rank + 1]
+    total = below + above
+    target = draws * total
+    lower = target < below
+    start = np.where(lower, low, rank + 1)
+    end = np.where(lower, rank, high + 1)
+    offset = np.where(lower, target, target - below)
+    # Rounding can carry the point past the sub-range [start, end); the
+    # clamp lands on its last rank, the sub-range's highest score.
+    stop = prefix.searchsorted(prefix[start] + offset, side="right")
+    return model.rank_by_score[np.minimum(stop, end) - 1], ~(total > 0)
+
+
 def _sample_from_rank_window(
     model: TfIdfModel, term_id: int, radius: int, rng: np.random.Generator
 ) -> int:
-    """sample_replacement over candidate_window(model, term_id, radius).
+    """One pick with sample_replacement's law over candidate_window(model, term_id, radius).
 
-    The window is the rank range [low, high] minus the term's own rank.
-    One random() scaled by the window's score mass picks a point on the
-    cumulative scores, and a right-side bisection of score_prefix finds
-    the candidate under it: the same draw and search as numpy's
-    choice(p=), so picks agree up to float rounding at CDF boundaries.
-    Candidates with zero score are never picked unless the whole window
-    has zero mass, in which case one integers() draw picks uniformly.
+    A window with score mass takes one random() for _window_picks; a
+    window without it takes one integers() draw, uniform over its members.
     """
     rank = model.rank_of(term_id)
-    low = max(0, rank - radius)
-    high = min(model.m - 1, rank + radius)
+    low, high = max(0, rank - radius), min(model.m - 1, rank + radius)
     prefix = model.score_prefix
-    below = float(prefix[rank] - prefix[low])
-    above = float(prefix[high + 1] - prefix[rank + 1])
-    total = below + above
-    if total > 0:
-        target = rng.random() * total
-        if target < below:
-            start, end, offset = low, rank, target
-        else:
-            start, end, offset = rank + 1, high + 1, target - below
-        # Rounding can carry the point past the sub-range [start, end); the
-        # clamp lands on its last rank, the sub-range's highest score.
-        stop = int(prefix.searchsorted(prefix[start] + offset, side="right"))
-        position = min(stop, end) - 1
-    else:
-        index = int(rng.integers(high - low))
-        position = low + index if low + index < rank else low + index + 1
-    return int(model.rank_by_score[position])
+    if prefix[rank] > prefix[low] or prefix[high + 1] > prefix[rank + 1]:
+        picks, _ = _window_picks(model, np.array([term_id]), np.array([rng.random()]), radius)
+        return int(picks[0])
+    position = low + int(rng.integers(high - low))
+    return int(model.rank_by_score[position if position < rank else position + 1])
+
+
+def _negative(model: TfIdfModel, document: Document, plan: ReplacementPlan) -> AugmentedSentence:
+    """The document with every occurrence of a replaced term rewritten to its substitute."""
+    term = model.vocabulary.term
+    substitutions = {
+        term(term_id): term(replacement_id)
+        for term_id, replacement_id in zip(compress(plan.term_ids, plan.replaced), plan.replacement_ids)
+    }
+    tokens = [substitutions.get(token, token) for token in document.tokens]
+    return AugmentedSentence(document.doc_id, tokens, plan)
+
+
+def _unaugmentable(document: Document) -> AugmentedSentence:
+    """The document unchanged, flagged as having no negative."""
+    return AugmentedSentence(document.doc_id, list(document.tokens), None, unaugmentable=True)
 
 
 def augment_sentence(
@@ -314,31 +346,22 @@ def augment_sentence(
     and flagged unaugmentable.
     """
     if scores.n_terms == 0 or model.m <= 1:
-        return AugmentedSentence(document.doc_id, list(document.tokens), None, unaugmentable=True)
+        return _unaugmentable(document)
 
-    probabilities, forced = replacement_probabilities(
-        scores, config.beta, config.selection_mode, rng
-    )
-
+    probabilities, forced = replacement_probabilities(scores, config.beta, config.selection_mode, rng)
     term_ids, probabilities = scores.term_ids.tolist(), probabilities.tolist()
     replaced, replacement_ids = [], []
-    substitutions: dict[str, str] = {}
     for term_id, probability in zip(term_ids, probabilities):
         hit = bool(rng.random() < probability)
         replaced.append(hit)
         if hit:
             if config.replacement_mode == MODE_RANDOM:
-                replacement_id = sample_replacement(
-                    model, (), MODE_RANDOM, rng, original_term_id=term_id
-                )
+                pick = sample_replacement(model, (), MODE_RANDOM, rng, original_term_id=term_id)
             else:
-                replacement_id = _sample_from_rank_window(model, term_id, config.radius, rng)
-            replacement_ids.append(replacement_id)
-            substitutions[model.vocabulary.term(term_id)] = model.vocabulary.term(replacement_id)
-
-    tokens = [substitutions.get(token, token) for token in document.tokens]
+                pick = _sample_from_rank_window(model, term_id, config.radius, rng)
+            replacement_ids.append(pick)
     plan = ReplacementPlan(term_ids, probabilities, forced, replaced, replacement_ids)
-    return AugmentedSentence(document.doc_id, tokens, plan)
+    return _negative(model, document, plan)
 
 
 def sentence_rng(master_seed: int, batch_index: int, position: int) -> np.random.Generator:
@@ -399,17 +422,18 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _philox_keys(seed: int, batch_index: int, positions: Sequence[int]) -> np.ndarray:
-    """(n, 2) uint64: row i is the Philox key of sentence_rng(seed, batch_index, positions[i]).
+    """(n, 2) uint64: row i is the key of sentence_rng's stream at (seed, batch_index, positions[i]).
 
-    That key is SeedSequence(seed, spawn_key=(batch_index, position))
-    .generate_state(2, np.uint64), computed here for a whole batch. The
-    seed's words, padded with zeros to the pool size, are hashed into the
-    pool and every pool word is mixed into every other; then each further
-    word (seed words past the pool, the batch index's, the position's) is
-    hashed four times and mixed into the four pool words. Only the
-    position words differ between rows, so the pool is shared up to them,
-    and a row whose position has fewer words than another's skips the
-    later rounds. generate_state hashes the four pool words once more.
+    That key is generate_state(2, np.uint64) of the SeedSequence with
+    entropy seed and spawn_key (batch_index, position), computed here for
+    a whole batch. The seed's words, padded with zeros to the pool size,
+    are hashed into the pool and every pool word is mixed into every
+    other; then each further word (seed words past the pool, the batch
+    index's, the position's) is hashed four times and mixed into the four
+    pool words. Only the position words differ between rows, so the pool
+    is shared up to them, and a row whose position has fewer words than
+    another's skips the later rounds. generate_state hashes the four pool
+    words once more.
     """
     multipliers = _hash_multipliers(_INIT_A, _MULT_A)
     run = _int_words(seed)
@@ -434,26 +458,26 @@ def _philox_keys(seed: int, batch_index: int, positions: Sequence[int]) -> np.nd
     return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
 
 
-def _sentence_draws(
-    master_seed: int, batch_index: int, requests: Iterable[tuple[int, int]]
-) -> Iterator[list[float]]:
-    """For each (position, k), the first k random() values of
-    sentence_rng(master_seed, batch_index, position).
+def _sentence_rngs(
+    master_seed: int, batch_index: int, positions: Sequence[int]
+) -> Iterator[np.random.Generator]:
+    """For each position, a generator in the state that sentence_rng
+    starts in at (master_seed, batch_index, position).
 
-    One Philox generator serves every request: it is re-keyed to the key
-    that sentence_rng's SeedSequence derives, with counter 0 and an empty
-    buffer, which is the state a new Philox starts in. One _philox_keys
-    call derives the keys of all requests.
+    One Philox generator serves every position: it is re-keyed to the key
+    that sentence_rng's SeedSequence derives, with counter 0, an empty
+    buffer and no spare 32-bit half, which is the state a new Philox
+    starts in. One _philox_keys call derives every key. The one generator
+    is yielded each time, so draw from it before advancing.
     """
-    requests = list(requests)
-    keys = _philox_keys(master_seed, batch_index, [position for position, _ in requests])
+    keys = _philox_keys(master_seed, batch_index, positions)
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state
-    for key, (_, k) in zip(keys, requests):
+    for key in keys:
         state["state"]["key"] = key
         bit_generator.state = state
-        yield rng.random(k).tolist()
+        yield rng
 
 
 def _batch_probabilities(batch_scores: Sequence[SentenceScores], beta: float) -> tuple[list, list]:
@@ -487,58 +511,35 @@ def _batch_probabilities(batch_scores: Sequence[SentenceScores], beta: float) ->
     return probabilities, forced
 
 
-def _window_picks(
-    model: TfIdfModel, term_ids: np.ndarray, draws: np.ndarray, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """_sample_from_rank_window for many terms at once, given each term's random() draw.
-
-    Same masses, branch, search and clamp as the scalar sampler, so each
-    pick is identical to it. Returns the picks and a mask of the terms whose
-    window has zero mass: the scalar sampler draws integers() for those, so
-    their picks here are meaningless.
-    """
-    # Windows clip at the vocabulary edge, so a radius above m changes
-    # nothing, and clamping it keeps rank +- radius inside int64.
-    radius = min(radius, model.m)
-    rank = model._rank_of[term_ids]
-    low = np.maximum(rank - radius, 0)
-    high = np.minimum(rank + radius, model.m - 1)
-    prefix = model.score_prefix
-    below = prefix[rank] - prefix[low]
-    above = prefix[high + 1] - prefix[rank + 1]
-    total = below + above
-    target = draws * total
-    lower = target < below
-    start = np.where(lower, low, rank + 1)
-    end = np.where(lower, rank, high + 1)
-    offset = np.where(lower, target, target - below)
-    stop = prefix.searchsorted(prefix[start] + offset, side="right")
-    return model.rank_by_score[np.minimum(stop, end) - 1], ~(total > 0)
-
-
 def _augment_guided(
-    model: TfIdfModel,
-    documents: Sequence[Document],
-    batch_scores: Sequence[SentenceScores],
-    config: AugmentationConfig,
-    batch_index: int,
-) -> list[AugmentedSentence]:
-    """augment_sentence with sentence_rng for a whole batch in tfidf/tfidf mode.
+    model: TfIdfModel, documents: Sequence[Document], batch_scores: Sequence[SentenceScores],
+    config: AugmentationConfig, batch_index: int, positions: list[int],
+) -> dict[int, AugmentedSentence]:
+    """augment_sentence with tfidf replacement for the given positions of
+    a batch, each from its _sentence_rngs stream.
 
     One bulk draw of 2n values from the sentence's stream covers a
     sentence of n terms: one decision per term, then one window draw per
-    replaced term, in augment_sentence's order. All window draws of the
-    batch are resolved by one _window_picks call. A sentence with a
-    zero-mass window is recomputed by augment_sentence, whose fallback draws
-    integers() and so reads a different stream.
+    replaced term, in augment_sentence's order; random selection draws its
+    forced term with integers() first, and random() leaves that draw's
+    spare 32-bit half alone. One _window_picks call resolves the batch's
+    window draws. A sentence with a zero-mass window is redone by
+    augment_sentence from a fresh copy of its stream, whose uniform
+    fallback draws integers(). Returns the negatives by position.
     """
-    probabilities, forced = _batch_probabilities(batch_scores, config.beta)
-    requests = [(position, 2 * scores.n_terms) for position, scores in enumerate(batch_scores) if scores.n_terms]
-    outcomes: list = [None] * len(documents)
-    picked_terms, picked_draws, owners = [], [], []
-    for (position, _), draws in zip(requests, _sentence_draws(config.seed, batch_index, requests)):
+    if config.selection_mode == MODE_TFIDF:
+        probabilities, forced = _batch_probabilities(batch_scores, config.beta)
+    else:
+        probabilities, forced = [None] * len(batch_scores), [0] * len(batch_scores)
+    outcomes, picked_terms, picked_draws = [], [], []
+    for position, rng in zip(positions, _sentence_rngs(config.seed, batch_index, positions)):
         scores = batch_scores[position]
-        term_ids, replaced, used, first = scores.term_ids.tolist(), [], 0, len(picked_terms)
+        if config.selection_mode == MODE_RANDOM:
+            p, forced[position] = replacement_probabilities(scores, config.beta, MODE_RANDOM, rng)
+            probabilities[position] = p.tolist()
+        term_ids = scores.term_ids.tolist()
+        draws = rng.random(2 * len(term_ids)).tolist()
+        replaced, used, first = [], 0, len(picked_terms)
         for term_id, probability in zip(term_ids, probabilities[position]):
             hit = draws[used] < probability
             used += 1
@@ -546,32 +547,23 @@ def _augment_guided(
             if hit:
                 picked_terms.append(term_id)
                 picked_draws.append(draws[used])
-                owners.append(position)
                 used += 1
-        outcomes[position] = (term_ids, replaced, first, len(picked_terms))
+        outcomes.append((position, term_ids, replaced, first, len(picked_terms)))
 
     picks, zero_mass = _window_picks(
         model, np.array(picked_terms, dtype=np.int64), np.array(picked_draws), config.radius
     )
-    picks = picks.tolist()
-    fallback = {owners[index] for index in np.flatnonzero(zero_mass).tolist()}
-    term = model.vocabulary.term
-    sentences = []
-    for position, (document, scores) in enumerate(zip(documents, batch_scores)):
-        if outcomes[position] is None or position in fallback:
-            rng = sentence_rng(config.seed, batch_index, position)
-            sentences.append(augment_sentence(model, document, scores, config, rng))
+    picks, zero_mass = picks.tolist(), zero_mass.tolist()
+    negatives, fallback = {}, []
+    for position, term_ids, replaced, first, stop in outcomes:
+        if any(zero_mass[first:stop]):
+            fallback.append(position)
             continue
-        term_ids, replaced, first, stop = outcomes[position]
-        replacement_ids = picks[first:stop]
-        substitutions = {
-            term(term_id): term(replacement_id)
-            for term_id, replacement_id in zip(picked_terms[first:stop], replacement_ids)
-        }
-        tokens = [substitutions.get(token, token) for token in document.tokens]
-        plan = ReplacementPlan(term_ids, probabilities[position], forced[position], replaced, replacement_ids)
-        sentences.append(AugmentedSentence(document.doc_id, tokens, plan))
-    return sentences
+        plan = ReplacementPlan(term_ids, probabilities[position], forced[position], replaced, picks[first:stop])
+        negatives[position] = _negative(model, documents[position], plan)
+    for position, rng in zip(fallback, _sentence_rngs(config.seed, batch_index, fallback)):
+        negatives[position] = augment_sentence(model, documents[position], batch_scores[position], config, rng)
+    return negatives
 
 
 def augment_batch(
@@ -586,12 +578,13 @@ def augment_batch(
     that are multiples of alpha and the result has exactly one augmented
     sentence per input document. Off-schedule batches yield None.
 
-    The batch is scored with one sentence_scores call. With tfidf selection
-    and tfidf replacement over a vocabulary of two or more terms, the whole
-    batch is augmented at once by _augment_guided; otherwise (either random
-    mode, which draws integers(), or m <= 1) each sentence goes through
-    augment_sentence with its sentence_rng stream. Both give the same
-    output: augment_sentence is the batch path's oracle and its fallback.
+    The batch is scored with one sentence_scores call. Sentences with no
+    in-vocabulary terms, and every sentence when the vocabulary has a
+    single term, come back unaugmentable without drawing. The others draw
+    from their _sentence_rngs streams: with tfidf replacement the whole
+    batch at once through _augment_guided, with random replacement one
+    augment_sentence call each. Either way the output equals
+    augment_sentence with each sentence's sentence_rng.
     """
     if not documents:
         raise ValueError("batch must be non-empty")
@@ -601,13 +594,18 @@ def augment_batch(
         return None
 
     batch_scores = sentence_scores(model, [document.tokens for document in documents])
-    if config.selection_mode == config.replacement_mode == MODE_TFIDF and model.m > 1:
-        sentences = _augment_guided(model, documents, batch_scores, config, batch_index)
+    positions = [position for position, scores in enumerate(batch_scores) if scores.n_terms and model.m > 1]
+    if config.replacement_mode == MODE_TFIDF:
+        negatives = _augment_guided(model, documents, batch_scores, config, batch_index, positions)
     else:
-        sentences = [
-            augment_sentence(model, document, scores, config, sentence_rng(config.seed, batch_index, position))
-            for position, (document, scores) in enumerate(zip(documents, batch_scores))
-        ]
+        negatives = {
+            position: augment_sentence(model, documents[position], batch_scores[position], config, rng)
+            for position, rng in zip(positions, _sentence_rngs(config.seed, batch_index, positions))
+        }
+    sentences = [
+        negatives[position] if position in negatives else _unaugmentable(document)
+        for position, document in enumerate(documents)
+    ]
     return NegativeBatch(batch_index, sentences)
 
 

@@ -149,8 +149,8 @@ def cmd_eval(args) -> int:
         encoder_seed = _resolve(args, "encoder_seed", 0, int)
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"--dim must be in [1, {MAX_DIM}], got {dim}")
-        if encoder_seed < 0:
-            raise ValueError(f"encoder-seed must be >= 0, got {encoder_seed}")
+        if not 0 <= encoder_seed < 2**64:
+            raise ValueError(f"encoder-seed must be in [0, 2**64 - 1], got {encoder_seed}")
     except ValueError as exc:
         raise FlagError(str(exc)) from None
 

@@ -165,8 +165,8 @@ class ToyEncoder:
     def __init__(self, vocabulary: Vocabulary, dim: int = 256, seed: int = 0):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2**64 - 1], got {seed!r}")
         self.vocabulary = vocabulary
         self.dim = dim
         self.seed = seed

@@ -188,6 +188,38 @@ def synthetic_model(max_scores, idf_values=None) -> TfIdfModel:
     return TfIdfModel(vocabulary, 1, idf_values, max_scores)
 
 
+def reference_window_pick(model: TfIdfModel, term_id: int, radius: int, rng) -> int:
+    """One term's rank-window pick in scalar arithmetic, the oracle of the
+    vector search in augment._window_picks.
+
+    The window is the rank range [low, high] minus the term's own rank.
+    One random() scaled by the window's score mass picks a point on the
+    cumulative scores, and a right-side bisection of score_prefix finds
+    the candidate under it; rounding that carries the point past its side
+    of the window is clamped back to that side's last rank. A window with
+    no score mass takes one integers() draw, uniform over its members.
+    """
+    rank = model.rank_of(term_id)
+    low = max(0, rank - radius)
+    high = min(model.m - 1, rank + radius)
+    prefix = model.score_prefix
+    below = float(prefix[rank] - prefix[low])
+    above = float(prefix[high + 1] - prefix[rank + 1])
+    total = below + above
+    if total > 0:
+        target = rng.random() * total
+        if target < below:
+            start, end, offset = low, rank, target
+        else:
+            start, end, offset = rank + 1, high + 1, target - below
+        stop = int(prefix.searchsorted(prefix[start] + offset, side="right"))
+        position = min(stop, end) - 1
+    else:
+        index = int(rng.integers(high - low))
+        position = low + index if low + index < rank else low + index + 1
+    return int(model.rank_by_score[position])
+
+
 def reference_average_ranks(values) -> np.ndarray:
     """The tie-span loop that the array version replaced: walk the stably
     sorted values and give each run of equal values the mean of its

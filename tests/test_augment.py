@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_documents, corpus_from_token_lists, synthetic_model, zipf_corpus
+from helpers import (
+    corpus_documents,
+    corpus_from_token_lists,
+    corpus_token_lists,
+    reference_window_pick,
+    synthetic_model,
+    zipf_corpus,
+)
+from una import augment
 from una.augment import (
     AugmentationConfig,
     EmptySentenceError,
@@ -15,8 +23,9 @@ from una.augment import (
     _batch_probabilities,
     _philox_keys,
     _sample_from_rank_window,
-    _sentence_draws,
+    _sentence_rngs,
     _unclamped_probabilities,
+    _window_picks,
     augment_batch,
     augment_sentence,
     candidate_window,
@@ -227,6 +236,45 @@ class TestSampleReplacement:
             sample_replacement(model, [], "random", np.random.default_rng(0), original_term_id=0)
 
 
+class FixedDraw:
+    """A stream whose every random() returns the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+class TestWindowPicks:
+    @pytest.fixture(scope="class")
+    def models(self):
+        zipf = zipf_corpus(np.random.default_rng(31))
+        # five terms in every document (idf 0, score 0) at the lowest ranks,
+        # so narrow windows there have no score mass
+        other = corpus_token_lists(zipf_corpus(np.random.default_rng(32), n_sentences=150, vocab_size=80))
+        return {"zipf": fit(zipf), "zero_score": zero_score_model(5, other)}
+
+    @pytest.mark.parametrize("kind", ["zipf", "zero_score"])
+    @pytest.mark.parametrize("draw", [0.0, 0.5, float(np.nextafter(1.0, 0.0)), "uniform"])
+    @pytest.mark.parametrize("radius", [1, 3, 50, 4000])
+    def test_matches_reference_pick_for_pick(self, models, kind, draw, radius):
+        model = models[kind]
+        term_ids = np.tile(np.arange(model.m), 3)
+        if draw == "uniform":
+            draws = np.random.default_rng(radius).random(term_ids.size)
+        else:
+            draws = np.full(term_ids.size, draw)
+        picks, zero_mass = _window_picks(model, term_ids, draws, radius)
+        for term_id, value, pick, empty in zip(term_ids.tolist(), draws.tolist(), picks.tolist(), zero_mass.tolist()):
+            window = candidate_window(model, term_id, radius)
+            assert empty == (model.max_score[window].sum() == 0)
+            if not empty:
+                assert pick == reference_window_pick(model, term_id, radius, FixedDraw(value))
+        if kind == "zero_score" and radius < 50:
+            assert zero_mass.any() and not zero_mass.all()
+
+
 class TestSampleFromRankWindow:
     @pytest.mark.parametrize("radius", [1, 3, 50, 4000])
     def test_matches_window_sampler_pick_for_pick(self, radius):
@@ -249,11 +297,7 @@ class TestSampleFromRankWindow:
         # rounds onto prefix[502], past the window, and is clamped back
         model = synthetic_model(np.ones(1000))
 
-        class FixedDraw:
-            def random(self):
-                return draw
-
-        assert _sample_from_rank_window(model, 500, 1, FixedDraw()) == expected
+        assert _sample_from_rank_window(model, 500, 1, FixedDraw(draw)) == expected
 
     @pytest.mark.parametrize("term_id, radius", [(0, 3), (1, 3), (2, 1), (2, 2), (3, 3), (5, 2)])
     def test_zero_weight_candidates_never_drawn_while_mass_is_positive(self, term_id, radius):
@@ -520,27 +564,80 @@ def zero_score_model(n_common, other_docs):
     return fit(corpus_from_token_lists([common + list(other) for other in other_docs]))
 
 
+def interleaved_draws(rng, ops):
+    """The values of a sequence of integers(bound) and random() calls (bound None)."""
+    return [rng.random() if bound is None else int(rng.integers(bound)) for bound in ops]
+
+
 class TestBatchStreams:
     @pytest.mark.parametrize("seed", [0, 1, 11, 2**63, 2**64 - 1])
     @pytest.mark.parametrize(
         "batch_index, position", [(1, 0), (5, 63), (10**9, 7), (2**40, 2**33), (2**70, 2**64 + 3)]
     )
     def test_rekeyed_philox_matches_sentence_rng(self, seed, batch_index, position):
-        requests = [(position, k) for k in range(1, 41)]
-        for k, draws in zip(range(1, 41), _sentence_draws(seed, batch_index, requests)):
-            assert draws == sentence_rng(seed, batch_index, position).random(k).tolist()
+        counts = range(1, 41)
+        for k, rng in zip(counts, _sentence_rngs(seed, batch_index, [position] * len(counts))):
+            assert rng.random(k).tolist() == sentence_rng(seed, batch_index, position).random(k).tolist()
 
     def test_rekeying_after_partial_buffer(self):
         # Odd draw counts leave the generator mid-buffer; re-keying must
         # start the next stream from an empty buffer all the same.
         requests = [(3, 1), (0, 5), (3, 7), (9, 2), (0, 3)]
-        for (position, k), draws in zip(requests, _sentence_draws(4, 2, requests)):
-            assert draws == sentence_rng(4, 2, position).random(k).tolist()
+        rngs = _sentence_rngs(4, 2, [position for position, _ in requests])
+        for (position, k), rng in zip(requests, rngs):
+            assert rng.random(k).tolist() == sentence_rng(4, 2, position).random(k).tolist()
+
+    def test_interleaved_integers_and_random(self):
+        # integers() below 2**32 takes half of a 64-bit output and keeps the
+        # other half for the next such call; a re-key must drop that half,
+        # as a new generator starts without one. Random selection draws
+        # integers() for the forced term, then random() per term.
+        requests = [(0, [3]), (0, [3, None, 5]), (1, [None, 7, None]), (1, [2**31, 9]), (0, [None, 2])]
+        rngs = _sentence_rngs(6, 3, [position for position, _ in requests])
+        spare_half = []
+        for (position, ops), rng in zip(requests, rngs):
+            assert interleaved_draws(rng, ops) == interleaved_draws(sentence_rng(6, 3, position), ops)
+            spare_half.append(rng.bit_generator.state["has_uint32"])
+        assert spare_half == [1, 0, 1, 0, 1]  # the first and third re-keys drop a kept half
+
+        choices = np.random.default_rng(13)
+        requests = []
+        for _ in range(300):
+            count = int(choices.integers(1, 10))
+            ops = [None if choices.random() < 0.5 else int(choices.integers(1, 50)) for _ in range(count)]
+            requests.append((int(choices.integers(4)), ops))
+        rngs = _sentence_rngs(2**64 - 1, 8, [position for position, _ in requests])
+        for (position, ops), rng in zip(requests, rngs):
+            assert interleaved_draws(rng, ops) == interleaved_draws(sentence_rng(2**64 - 1, 8, position), ops)
 
     def test_scalar_draws_equal_bulk_draws(self):
         rng = sentence_rng(5, 1, 2)
         scalar = [rng.random() for _ in range(9)]
         assert scalar == sentence_rng(5, 1, 2).random(9).tolist()
+
+    def test_streams_only_for_sentences_with_terms(self, monkeypatch):
+        # Sentences with no in-vocabulary terms come back unaugmentable
+        # without a key; every other stream comes from _philox_keys.
+        keyed = []
+        philox_keys = augment._philox_keys
+
+        def recording_keys(seed, batch_index, positions):
+            keyed.extend(positions)
+            return philox_keys(seed, batch_index, positions)
+
+        def no_sentence_rng(*args):
+            raise AssertionError("sentence_rng is the definition, not a production path")
+
+        monkeypatch.setattr(augment, "_philox_keys", recording_keys)
+        monkeypatch.setattr(augment, "sentence_rng", no_sentence_rng)
+        model = zero_score_model(4, [["x"], ["y", "z"], ["x", "z"]])
+        documents = [Document(i, tokens) for i, tokens in enumerate([["c0", "c1"], ["oov"], [], ["x", "y"], ["c3"]])]
+        for modes in [("tfidf", "tfidf"), ("tfidf", "random"), ("random", "tfidf"), ("random", "random")]:
+            keyed.clear()
+            config = AugmentationConfig(radius=2, alpha=1, seed=1, selection_mode=modes[0], replacement_mode=modes[1])
+            batch = augment_batch(model, documents, config, 1)
+            assert [s.unaugmentable for s in batch.sentences] == [False, True, True, False, False]
+            assert set(keyed) == {0, 3, 4}
 
 
 # Positions whose 32-bit word counts differ: one, one, two and three words.
@@ -645,6 +742,19 @@ class TestBatchPath:
         rank = model.rank_of(model.vocabulary.get("c0"))
         assert prefix[rank + 3] - prefix[rank] == 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 11])
+    @pytest.mark.parametrize("radius", [1, 50, 4000])
+    def test_random_selection_matches_oracle(self, seed, radius):
+        # Each stream gives integers() for the forced term, then the bulk
+        # random() draws, which leave integers()'s spare 32-bit half alone.
+        corpus = zipf_corpus(np.random.default_rng(seed), n_sentences=300, vocab_size=200)
+        documents = corpus_documents(corpus)[:64] + [Document(64, ["zzz"]), Document(65, [])]
+        config = AugmentationConfig(radius=radius, alpha=1, seed=seed, selection_mode="random")
+        assert_matches_oracle(fit(corpus), documents, config, seed + 6)
+        model = zero_score_model(4, [["x"], ["y", "z"], ["x", "z"]])
+        documents = [Document(i, tokens) for i, tokens in enumerate([["c0", "c1"], ["c2", "x"], ["c3"], ["y"]])]
+        assert_matches_oracle(model, documents, AugmentationConfig(radius=2, alpha=1, seed=seed, selection_mode="random"), 1)
+
     @pytest.mark.parametrize("terms", [["x"], ["x", "y"]])
     def test_tiny_vocabularies(self, terms):
         model = fit(corpus_from_token_lists([terms, terms[:1]]))
@@ -683,7 +793,8 @@ def guided_models(draw):
 @st.composite
 def guided_batches(draw):
     """A model with zero-score terms and a batch mixing OOV-only, empty,
-    single-term, all-equal-score, repeated-term and many-term sentences."""
+    single-term, all-equal-score, repeated-term and many-term sentences,
+    in any of the four selection and replacement modes."""
     model = draw(guided_models())
     terms = model.vocabulary.terms
     flat = [term for term, idf in zip(terms, model.idf.tolist()) if idf == 0] or terms
@@ -707,6 +818,8 @@ def guided_batches(draw):
         radius=draw(st.integers(1, model.m + 5)),
         alpha=1,
         seed=draw(st.sampled_from([0, 7, 2**64 - 1])),
+        selection_mode=draw(st.sampled_from(["tfidf", "random"])),
+        replacement_mode=draw(st.sampled_from(["tfidf", "random"])),
     )
     return model, documents, config, draw(st.integers(1, 2**40))
 

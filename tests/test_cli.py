@@ -285,6 +285,24 @@ class TestEval:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", [str(2**64), "9" * 4299], ids=["2**64", "4299-digits"])
+    def test_encoder_seed_above_64_bits_exits_2(self, tmp_path, model_file, seed, capsys):
+        pairs = self.make_pairs(tmp_path)
+        rc = main(["eval", "--pairs", str(pairs), "--model", str(model_file), "--encoder-seed", seed])
+        assert rc == 2
+        assert "encoder-seed" in capsys.readouterr().err
+        config = tmp_path / "una.conf"
+        config.write_text(f"encoder-seed={seed}\n", encoding="utf-8")
+        rc = main(["eval", "--pairs", str(pairs), "--model", str(model_file), "--config", str(config)])
+        assert rc == 2
+        assert "encoder-seed" in capsys.readouterr().err
+
+    def test_largest_encoder_seed_accepted(self, tmp_path, model_file, capsys):
+        pairs = self.make_pairs(tmp_path)
+        rc = main(["eval", "--pairs", str(pairs), "--model", str(model_file), "--encoder-seed", str(2**64 - 1)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("rho=")
+
     def test_constant_gold_exits_3(self, tmp_path, model_file, capsys):
         pairs = tmp_path / "pairs.tsv"
         write_lines(pairs, ["a b\ta b\t1.0", "a\tb\t1.0", "b\tc\t1.0"])

@@ -274,6 +274,12 @@ class TestToyEncoder:
         with pytest.raises(ValueError, match="seed"):
             ToyEncoder(vocabulary, dim=8, seed=seed)
 
+    @pytest.mark.parametrize("seed", [2**64, 10**4298], ids=["2**64", "4299-digits"])
+    def test_seed_outside_64_bits_rejected(self, vocabulary, seed):
+        # a longer seed would make every term vector hash all its words
+        with pytest.raises(ValueError, match="seed"):
+            ToyEncoder(vocabulary, dim=8, seed=seed)
+
     def test_large_and_numpy_seeds_accepted(self, vocabulary):
         for seed in (0, 2**64 - 1, np.uint64(7)):
             assert ToyEncoder(vocabulary, dim=8, seed=seed).encode(["alpha"]).shape == (8,)
