@@ -25,15 +25,18 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
 - `una augment` on the sample corpus with random selection, with random
   replacement, and with both, seeds 1-5 (radius 50, alpha 1, batch size
   16);
-- `una loss-demo` on the sample corpus and pairs, seeds 1-5, at the
-  default dim and at --dim 1 and 7, which writes only to standard output;
+- `una loss-demo` on the sample corpus and pairs, seeds 1-5 and the
+  two-word seeds 2**32 + 1 and 2**64 - 1, at the default dim and at --dim
+  1, 7 and 4096, which writes only to standard output: its
+  full-precision losses show a change in the last bit of a term vector,
+  which `una eval`'s rho does not;
 - `una fit` on the train-eval model corpus made by bench/gen.py with seeds
   1-3, then `una eval` on that seed's dev pairs with the model fitted on
   it, at --dim 1, 7, 256 and 4096 and --encoder-seed 0 and 2**64 - 1,
   which writes only to standard output;
 - the standard output of every run.
 
-That is 305 files per side. The script prints how many are identical,
+That is 318 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -61,7 +64,10 @@ RANDOM_MODE_SEEDS = range(1, 6)
 # Seeds of two 32-bit words, so that the per-sentence streams hash more
 # than one seed word.
 MULTI_WORD_SEEDS = (2**32 + 5, 2**64 - 1)
-LOSS_DEMO_DIMS = (1, 7)
+LOSS_DEMO_SEEDS = range(1, 6)
+# The loss demo's seed is also its encoder seed: two 32-bit words each.
+LOSS_DEMO_MULTI_WORD_SEEDS = (2**32 + 1, 2**64 - 1)
+LOSS_DEMO_DIMS = (1, 7, 4096)
 EVAL_DIMS = (1, 7, 256, 4096)
 EVAL_ENCODER_SEEDS = (0, 2**64 - 1)
 # The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
@@ -148,6 +154,7 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
             flags += [option for mode in modes for option in (f"--{mode}-mode", "random")]
             name = f"augment-sample-s{seed}-random-{'-'.join(modes)}"
             matrix.append(augment(name, "fit-sample", SAMPLE_CORPUS, seed, flags))
+    for seed in (*LOSS_DEMO_SEEDS, *LOSS_DEMO_MULTI_WORD_SEEDS):
         demo = ["loss-demo", "--corpus", str(SAMPLE_CORPUS), "--pairs", str(SAMPLE_PAIRS), "--seed", str(seed)]
         matrix.append((f"loss-demo-s{seed}", demo))
         for dim in LOSS_DEMO_DIMS:

@@ -25,8 +25,9 @@ does not depend on the order in which a batch's sentences are processed.
 `sentence_rng` defines each stream: a Philox generator seeded by
 numpy's SeedSequence over those coordinates. A Philox stream is fixed by
 its key alone, so for every mode `_sentence_rngs` derives the keys of a
-batch's sentences in one array pass of the same SeedSequence hash
-(`_philox_keys`) and re-keys one generator with them.
+batch's sentences in one array pass of the SeedSequence hash that
+`una._seedseq` shares with the toy encoder (`_philox_keys`) and re-keys
+one generator with them.
 
 `augment_sentence` augments one sentence from the stream it is given: it
 runs random replacement and windows with no score mass, and is the test
@@ -48,6 +49,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._seedseq import spawn_states
 from .corpus import Document
 from .tfidf import SentenceScores, TfIdfModel, sentence_scores
 
@@ -374,88 +376,10 @@ def sentence_rng(master_seed: int, batch_index: int, position: int) -> np.random
     return np.random.Generator(np.random.Philox(sequence))
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit
-# words: a pool of four words; hashmix multipliers that start at _INIT_A
-# and advance by _MULT_A on every call; generate_state's, which start at
-# _INIT_B and advance by _MULT_B.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _int_words(value: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence coerces an int to; [0] for 0."""
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_multipliers(initial: int, factor: int) -> Iterator[tuple[int, int]]:
-    """(multiplier, advanced multiplier) of each successive hash call."""
-    multiplier = initial
-    while True:
-        advanced = multiplier * factor & _MASK32
-        yield multiplier, advanced
-        multiplier = advanced
-
-
-def _hash(value, multipliers: Iterator[tuple[int, int]], count: int) -> np.ndarray:
-    """count successive hash calls on uint32 words, one per row of the result.
-
-    value broadcasts against a (count, 1) column: call i xors it with its
-    multiplier, multiplies by the advanced one and folds the high half in.
-    """
-    before, after = np.array(list(islice(multipliers, count)), dtype=np.uint32).T[:, :, None]
-    hashed = (value ^ before) * after
-    return hashed ^ hashed >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words x with hashed words y."""
-    mixed = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return mixed ^ mixed >> 16
-
-
 def _philox_keys(seed: int, batch_index: int, positions: Sequence[int]) -> np.ndarray:
-    """(n, 2) uint64: row i is the key of sentence_rng's stream at (seed, batch_index, positions[i]).
-
-    That key is generate_state(2, np.uint64) of the SeedSequence with
-    entropy seed and spawn_key (batch_index, position), computed here for
-    a whole batch. The seed's words, padded with zeros to the pool size,
-    are hashed into the pool and every pool word is mixed into every
-    other; then each further word (seed words past the pool, the batch
-    index's, the position's) is hashed four times and mixed into the four
-    pool words. Only the position words differ between rows, so the pool
-    is shared up to them, and a row whose position has fewer words than
-    another's skips the later rounds. generate_state hashes the four pool
-    words once more.
-    """
-    multipliers = _hash_multipliers(_INIT_A, _MULT_A)
-    run = _int_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    pool = _hash(np.array(run[:_POOL_SIZE], dtype=np.uint32)[:, None], multipliers, _POOL_SIZE)
-    for source in range(_POOL_SIZE):
-        others = [target for target in range(_POOL_SIZE) if target != source]
-        pool[others] = _mix(pool[others], _hash(pool[source], multipliers, _POOL_SIZE - 1))
-    for word in run[_POOL_SIZE:] + _int_words(batch_index):
-        pool = _mix(pool, _hash(word, multipliers, _POOL_SIZE))
-
-    rest = np.array(positions, dtype=object)  # ints of any size, as SeedSequence takes
-    pool = np.repeat(pool, rest.size, axis=1)
-    live = np.ones(rest.size, dtype=bool)  # every position has a first word, 0 too
-    while live.any():
-        hashed = _hash((rest & _MASK32).astype(np.uint32), multipliers, _POOL_SIZE)
-        pool = np.where(live, _mix(pool, hashed), pool)
-        rest = rest >> 32
-        live = rest > 0
-
-    words = _hash(pool, _hash_multipliers(_INIT_B, _MULT_B), _POOL_SIZE).astype(np.uint64)
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+    """(n, 2) uint64: row i is the key of sentence_rng's stream at (seed,
+    batch_index, positions[i]), from one pass of the shared SeedSequence hash."""
+    return spawn_states(seed, batch_index, positions, 2)
 
 
 def _sentence_rngs(

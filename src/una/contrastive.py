@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._seedseq import entropy_states
 from .corpus import Vocabulary, read_nonblank_lines, tokenize
 
 
@@ -143,28 +144,43 @@ def batch_loss(
 GATHER_ROWS = 1024
 
 
+class _SeedState:
+    """A SeedSequence's generate_state(4, np.uint64), all that PCG64 reads
+    of it. Indexing a vocabulary registers it as numpy's ISeedSequence,
+    which spares `import una` the import of numpy.random."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}")
+        return self.state
+
+
 class ToyEncoder:
     """Deterministic bag-of-words encoder over fixed random term vectors.
 
-    Every vocabulary term maps to a unit vector drawn from a stream seeded
-    by (encoder seed, stable hash of the term string), so embeddings
+    Every vocabulary term maps to a unit vector drawn from PCG64 seeded by
+    SeedSequence([encoder seed, 8-byte blake2b of the term]), so embeddings
     depend only on the seed, never on process state or insertion order.
     A sentence embeds as the normalized sum of its in-vocabulary token
     vectors, each scaled by its count; a sentence with none gets the first
     basis vector.
 
     The term vectors live in one float64 table of a row per vocabulary
-    term, allocated on the first encode and filled a row at a time the
-    first time a term is seen. Ascending row index is ascending string
-    order of the terms, so a sentence's rows, sorted, are summed in term
-    order from 0.0: the embedding is bit-identical under any permutation
-    of the input tokens. Terms added to the vocabulary later get rows on
-    the next encode.
+    term. Indexing the vocabulary fills a seed table of each term's PCG64
+    seed with one pass of the shared SeedSequence hash (una._seedseq), and
+    a row is drawn the first time its term is seen. Ascending row index is
+    ascending string order of the terms, so a sentence's rows, sorted, are
+    summed in term order from 0.0: the embedding is bit-identical under any
+    permutation of the input tokens. Terms added to the vocabulary later
+    get rows on the next encode.
     """
 
     def __init__(self, vocabulary: Vocabulary, dim: int = 256, seed: int = 0):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an int in [0, 2**64 - 1], got {seed!r}")
         self.vocabulary = vocabulary
@@ -174,16 +190,16 @@ class ToyEncoder:
         self._rows: dict[str, int] = {}
         self._table = np.empty((0, dim))
         self._filled = bytearray()
-
-    def _term_vector(self, term: str) -> np.ndarray:
-        digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
-        sequence = np.random.SeedSequence([self.seed, int.from_bytes(digest, "big")])
-        raw = np.random.default_rng(sequence).standard_normal(self.dim)
-        return raw / np.linalg.norm(raw)
+        self._seeds = np.empty((0, 4), dtype=np.uint64)  # row -> PCG64 seed
 
     def _index_vocabulary(self) -> None:
-        """Give every vocabulary term its row and move filled rows there."""
+        """Give every vocabulary term its row and its PCG64 seed, and move filled rows there."""
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(_SeedState)
         terms = sorted(self.vocabulary)
+        digests = b"".join(hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest() for term in terms)
+        self._seeds = entropy_states(self.seed, np.frombuffer(digests, dtype=">u8"), 4)
         rows = {term: row for row, term in enumerate(terms)}
         table = np.empty((len(terms), self.dim))
         filled = bytearray(len(terms))
@@ -211,10 +227,12 @@ class ToyEncoder:
         if not counts:
             return self._fallback()
         order = sorted(counts)
-        table, filled = self._table, self._filled
+        table, filled, seeds = self._table, self._filled, self._seeds
         for row in order:
             if not filled[row]:
-                table[row] = self._term_vector(self._terms[row])
+                vector = table[row]
+                np.random.Generator(np.random.PCG64(_SeedState(seeds[row]))).standard_normal(self.dim, out=vector)
+                vector /= math.sqrt(vector.dot(vector))
                 filled[row] = 1
         # One gather and one ordered reduce per chunk: 0.0 + r0 + r1 + ...
         # over the count-scaled rows, with the running total carried into

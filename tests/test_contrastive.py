@@ -269,6 +269,14 @@ class TestToyEncoder:
         with pytest.raises(ValueError):
             ToyEncoder(vocabulary, dim=0)
 
+    @pytest.mark.parametrize("dim", [2.5, 8.0, True, "8", None])
+    def test_non_int_dim_rejected_at_construction(self, vocabulary, dim):
+        with pytest.raises(ValueError, match="dim"):
+            ToyEncoder(vocabulary, dim=dim, seed=1)
+
+    def test_numpy_int_dim_accepted(self, vocabulary):
+        assert ToyEncoder(vocabulary, dim=np.int64(5)).encode(["alpha"]).shape == (5,)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_bad_seed_rejected_at_construction(self, vocabulary, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -351,6 +359,33 @@ class TestEncodeMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak - table_bytes <= 10 * 2**20
+
+
+class TestTermRows:
+    """Each filled row of the term table against reference_term_vector, byte for byte."""
+
+    TERMS = [f"w{k}" for k in range(30)] + ["Zeta", "Ärger", "日本", "straße", "cafe\u0301", "🙂", "a-b", "a"]
+    LATER = ["früh", "語", "b", "zz", "w15x"]  # rows before, between and after the first ones
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1])
+    @pytest.mark.parametrize("dim", [*range(1, 10), 256, 4096])
+    def test_rows_match_reference(self, dim, seed):
+        vocabulary = Vocabulary(self.TERMS)
+        encoder = ToyEncoder(vocabulary, dim=dim, seed=seed)
+        first = self.TERMS[::3]
+        encoder.encode(first)
+        for term in self.LATER:
+            vocabulary.add(term)
+        encoder.encode(self.TERMS + self.LATER)
+        for term in self.TERMS + self.LATER:
+            row = encoder._rows[term]
+            assert encoder._filled[row]
+            assert encoder._table[row].tobytes() == reference_term_vector(term, dim, seed).tobytes(), term
+
+    def test_rows_filled_on_first_use(self):
+        encoder = ToyEncoder(Vocabulary(self.TERMS), dim=4, seed=3)
+        encoder.encode(["日本", "a", "oov"])
+        assert sorted(t for t in self.TERMS if encoder._filled[encoder._rows[t]]) == ["a", "日本"]
 
 
 class TestLoadPairs:
