@@ -12,6 +12,10 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   1-20 x radius 3/50/4000 (alpha 1, batch size 16);
 - `una augment` on the augment-guided input with that seed's model and the
   benchmark's flags, seeds 1-3;
+- `una augment` on the augment-guided input of seed 1 with the
+  benchmark's flags at --batch-size 1, 7 and 6000 (one batch holding
+  every line): single-sentence batches, batches that end mid-input, and
+  one batch of every sentence length at once;
 - guided `una augment` with the two-word seeds 2**32 + 5 and 2**64 - 1, on
   the sample corpus (radius 50, alpha 1, batch size 16) and on the
   augment-guided input of seed 1 with the benchmark's flags;
@@ -36,7 +40,7 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   which writes only to standard output;
 - the standard output of every run.
 
-That is 318 files per side. The script prints how many are identical,
+That is 324 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -70,6 +74,8 @@ LOSS_DEMO_MULTI_WORD_SEEDS = (2**32 + 1, 2**64 - 1)
 LOSS_DEMO_DIMS = (1, 7, 4096)
 EVAL_DIMS = (1, 7, 256, 4096)
 EVAL_ENCODER_SEEDS = (0, 2**64 - 1)
+# Batch sizes run besides the benchmark's 64 on one augment-guided input.
+BATCH_SIZES = (1, 7, 6000)
 # The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
 BENCH_AUGMENT_FLAGS = [
     "--alpha", "1", "--batch-size", "64", "--radius", "4000", "--beta", "0.5",
@@ -129,6 +135,11 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     for seed in GEN_SEEDS:
         source = inputs / f"augment-guided-{seed}" / "augment_input.txt"
         matrix.append(augment(f"augment-guided-{seed}", f"fit-model-{seed}", source, seed, BENCH_AUGMENT_FLAGS))
+    for batch_size in BATCH_SIZES:
+        source = inputs / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
+        flags = [*BENCH_AUGMENT_FLAGS, "--batch-size", str(batch_size)]  # the last --batch-size wins
+        name = f"augment-guided-{GEN_SEEDS[0]}-b{batch_size}"
+        matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], flags))
     for seed in MULTI_WORD_SEEDS:
         flags = ["--radius", "50", "--alpha", "1", "--batch-size", "16"]
         matrix.append(augment(f"augment-sample-s{seed}-r50", "fit-sample", SAMPLE_CORPUS, seed, flags))

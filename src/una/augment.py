@@ -8,7 +8,7 @@ from the input. Replacements are drawn from the terms whose maximum
 corpus tf-idf score ranks within `radius` positions of the original
 term's, weighted by those scores, so a replaced word swaps against a word
 of comparable importance. Batches are augmented once every `alpha`
-batches, and each such batch is scored with one sentence_scores call.
+batches.
 
 Both the term-selection step and the term-replacement step can be
 switched to a purely random baseline for ablation experiments.
@@ -31,27 +31,29 @@ one generator with them.
 
 `augment_sentence` augments one sentence from the stream it is given: it
 runs random replacement and windows with no score mass, and is the test
-oracle of the guided path. With tfidf replacement, `augment_batch` does
-its work a batch at a time, byte-identical: tfidf probabilities for all
-sentences of one term count at once, one bulk draw per sentence and one
-`_window_picks` call for the whole batch. Sentences with no
-in-vocabulary terms come back unchanged without a stream. Plans keep
-their outcomes as columns and build `TermReplacement` entries only when
-they are read.
+oracle of the guided path. `augment_batch` builds its batch once as
+columns (`_Batch`), as a `Corpus` holds them: token ids with row offsets
+and the (sentence, term, score) columns. With tfidf replacement the
+batch stays in columns, byte-identical to the oracle: segment
+reductions, one bulk draw per sentence, a decision scan one term
+position at a time, one `_window_picks` call, and substitution by
+(sentence, term) key. Sentences with no in-vocabulary terms come back
+unchanged without a stream. Plans keep their outcomes as array columns
+and build `TermReplacement` entries only when they are read.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ._seedseq import spawn_states
 from .corpus import Document
-from .tfidf import SentenceScores, TfIdfModel, sentence_scores
+from .tfidf import SentenceScores, TfIdfModel, _score_columns
 
 MODE_TFIDF = "tfidf"
 MODE_RANDOM = "random"
@@ -116,25 +118,26 @@ class TermReplacement:
 class ReplacementPlan:
     """Per-term probabilities and sampled outcomes for one sentence.
 
-    The outcomes are kept as parallel columns over the sentence's distinct
-    terms: replacement_ids holds one substitute per replaced term, in term
-    order. entries (and iteration) build the TermReplacement objects only
-    when they are read.
+    The outcomes are kept as parallel array columns over the sentence's
+    distinct terms (term_ids int64, probabilities float64, replaced bool);
+    forced is the position of the forced term, and replacement_ids (int64)
+    holds one substitute per replaced term, in term order. entries (and
+    iteration) build the TermReplacement objects only when they are read.
     """
 
-    term_ids: list[int]
-    probabilities: list[float]
+    term_ids: np.ndarray
+    probabilities: np.ndarray
     forced: int
-    replaced: list[bool]
-    replacement_ids: list[int]
+    replaced: np.ndarray
+    replacement_ids: np.ndarray
 
     @property
     def entries(self) -> list[TermReplacement]:
-        substitutes = iter(self.replacement_ids)
+        substitutes = iter(self.replacement_ids.tolist())
         return [
             TermReplacement(term_id, probability, position == self.forced, hit, next(substitutes) if hit else None)
             for position, (term_id, probability, hit) in enumerate(
-                zip(self.term_ids, self.probabilities, self.replaced)
+                zip(self.term_ids.tolist(), self.probabilities.tolist(), self.replaced.tolist())
             )
         ]
 
@@ -321,7 +324,9 @@ def _negative(model: TfIdfModel, document: Document, plan: ReplacementPlan) -> A
     term = model.vocabulary.term
     substitutions = {
         term(term_id): term(replacement_id)
-        for term_id, replacement_id in zip(compress(plan.term_ids, plan.replaced), plan.replacement_ids)
+        for term_id, replacement_id in zip(
+            compress(plan.term_ids.tolist(), plan.replaced.tolist()), plan.replacement_ids.tolist()
+        )
     }
     tokens = [substitutions.get(token, token) for token in document.tokens]
     return AugmentedSentence(document.doc_id, tokens, plan)
@@ -351,9 +356,8 @@ def augment_sentence(
         return _unaugmentable(document)
 
     probabilities, forced = replacement_probabilities(scores, config.beta, config.selection_mode, rng)
-    term_ids, probabilities = scores.term_ids.tolist(), probabilities.tolist()
     replaced, replacement_ids = [], []
-    for term_id, probability in zip(term_ids, probabilities):
+    for term_id, probability in zip(scores.term_ids.tolist(), probabilities.tolist()):
         hit = bool(rng.random() < probability)
         replaced.append(hit)
         if hit:
@@ -362,7 +366,8 @@ def augment_sentence(
             else:
                 pick = _sample_from_rank_window(model, term_id, config.radius, rng)
             replacement_ids.append(pick)
-    plan = ReplacementPlan(term_ids, probabilities, forced, replaced, replacement_ids)
+    replaced, replacement_ids = np.array(replaced, dtype=bool), np.array(replacement_ids, dtype=np.int64)
+    plan = ReplacementPlan(scores.term_ids, probabilities, forced, replaced, replacement_ids)
     return _negative(model, document, plan)
 
 
@@ -398,95 +403,188 @@ def _sentence_rngs(
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state
-    for key in keys:
+    # The state setter reads its arrays item by item, which lists serve
+    # faster than numpy arrays.
+    state["state"]["counter"], state["buffer"] = state["state"]["counter"].tolist(), state["buffer"].tolist()
+    for key in keys.tolist():
         state["state"]["key"] = key
         bit_generator.state = state
         yield rng
 
 
-def _batch_probabilities(batch_scores: Sequence[SentenceScores], beta: float) -> tuple[list, list]:
-    """replacement_probabilities in tfidf mode for every sentence of a batch.
-
-    Sentences with the same number n of distinct terms are stacked into
-    one (k, n) array. Each row's sum over a contiguous row of equal length
-    adds in the same order as np.mean over that sentence alone, so every
-    probability is bit-equal to the per-sentence result; padding rows of
-    different lengths to one width would change that order.
-
-    Returns the probability lists and forced positions, None and 0 for a
-    sentence with no terms.
+class _Batch:
+    """A batch as columns. Sentence i's tokens are tokens[indptr[i]:indptr[i + 1]],
+    with vocabulary ids in ids (-1 out of vocabulary). positions are the
+    sentences with in-vocabulary terms (none if the vocabulary has one
+    term); sentence positions[j]'s terms, ascending, and their scores are
+    terms[a:b] and scores[a:b] for a, b = bounds[j], bounds[j + 1].
     """
-    probabilities: list = [None] * len(batch_scores)
-    forced = [0] * len(batch_scores)
-    groups: dict[int, list[int]] = {}
-    for index, scores in enumerate(batch_scores):
-        if scores.n_terms:
-            groups.setdefault(scores.n_terms, []).append(index)
-    for n, rows in groups.items():
-        z = np.stack([batch_scores[index].scores for index in rows])
-        spread = np.ptp(z, axis=1) > 0
-        p = np.zeros_like(z)
-        centered = z[spread] - z[spread].min(axis=1, keepdims=True)
-        p[spread] = np.minimum(beta * centered / (np.add.reduce(centered, axis=1, keepdims=True) / n), 1.0)
-        top = z.argmax(axis=1)  # first maximum == lowest term id
-        p[np.arange(len(rows)), top] = 1.0
-        for index, row, position in zip(rows, p.tolist(), top.tolist()):
-            probabilities[index], forced[index] = row, position
+
+    def __init__(self, tokens: list[str], indptr, ids, positions, bounds, terms, scores):
+        self.tokens, self.indptr, self.ids, self.positions = tokens, indptr, ids, positions
+        self.bounds, self.terms, self.scores = bounds, terms, scores
+
+    def scores_of(self, j: int) -> SentenceScores:
+        """The SentenceScores of sentence positions[j]."""
+        a, b = self.bounds[j], self.bounds[j + 1]
+        return SentenceScores._unchecked(self.terms[a:b], self.scores[a:b])
+
+
+def _batch_columns(model: TfIdfModel, documents: Sequence[Document]) -> _Batch:
+    """A batch's columns: one dict lookup per token, one _score_columns call."""
+    tokens = list(chain.from_iterable(document.tokens for document in documents))
+    indptr = np.cumsum([0, *(len(document.tokens) for document in documents)])
+    ids = model.vocabulary.ids(tokens)
+    rows, terms, scores = _score_columns(model, indptr, ids)
+    lengths = np.bincount(rows, minlength=len(documents))
+    positions = np.flatnonzero(lengths) if model.m > 1 else np.zeros(0, dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum(lengths[positions])))
+    return _Batch(tokens, indptr, ids, positions, bounds, terms, scores)
+
+
+def _batch_probabilities(z: np.ndarray, lengths: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """replacement_probabilities in tfidf mode for sentences whose scores
+    lie back to back in z, lengths[j] >= 1 of them for sentence j.
+    Returns the probabilities, aligned with z, and the index into z of
+    each sentence's forced term.
+
+    Minima, maxima and first maxima are segment reductions. The sums are
+    not np.add.reduceat, which starts from a segment's first element and
+    rounds otherwise than np.mean; one stable argsort groups the sentences
+    by length, and each length's (k, n) block sums its rows in np.mean's
+    order, so every probability is bit-equal to the per-sentence one.
+    """
+    starts = np.cumsum(lengths) - lengths
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    low = np.minimum.reduceat(z, starts)
+    high = np.maximum.reduceat(z, starts)
+    peaks = np.flatnonzero(z == high[segment])
+    forced = peaks[np.searchsorted(peaks, starts)]  # first maximum == lowest term id
+    centered = z - low[segment]
+
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    # The sentences' entries in that order: each sentence's run moves from
+    # its offset in the ordered runs to its start in z.
+    gathered = centered[np.arange(z.size) + np.repeat(starts[order] - (np.cumsum(ordered) - ordered), ordered)]
+    runs = np.flatnonzero(np.diff(ordered, prepend=0))  # where each length's sentences begin
+    sums, offset = [], 0
+    for n, k in zip(ordered[runs].tolist(), np.diff(runs, append=ordered.size).tolist()):
+        sums.append(np.add.reduce(gathered[offset : offset + n * k].reshape(k, n), axis=1))
+        offset += n * k
+    means = np.empty(lengths.size)
+    means[order] = np.concatenate(sums) / ordered
+
+    probabilities = np.zeros(z.size)
+    spread = (high > low)[segment]
+    probabilities[spread] = np.minimum(beta * centered[spread] / means[segment[spread]], 1.0)
+    probabilities[forced] = 1.0
     return probabilities, forced
 
 
-def _augment_guided(
-    model: TfIdfModel, documents: Sequence[Document], batch_scores: Sequence[SentenceScores],
-    config: AugmentationConfig, batch_index: int, positions: list[int],
-) -> dict[int, AugmentedSentence]:
-    """augment_sentence with tfidf replacement for the given positions of
-    a batch, each from its _sentence_rngs stream.
+def _decision_scan(draws: np.ndarray, probabilities: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The replaced mask over a batch's terms, and the replaced terms' window draws.
 
-    One bulk draw of 2n values from the sentence's stream covers a
-    sentence of n terms: one decision per term, then one window draw per
-    replaced term, in augment_sentence's order; random selection draws its
-    forced term with integers() first, and random() leaves that draw's
-    spare 32-bit half alone. One _window_picks call resolves the batch's
-    window draws. A sentence with a zero-mass window is redone by
-    augment_sentence from a fresh copy of its stream, whose uniform
-    fallback draws integers(). Returns the negatives by position.
+    Row j of draws holds sentence j's 2n random() draws, zero-padded. The
+    scan steps one term position at a time across the batch, in
+    augment_sentence's order: term t reads draw t plus its sentence's hits
+    so far, and a hit's window draw is the next one. Padding positions,
+    after each sentence's terms, get probability -1 and never hit.
     """
-    if config.selection_mode == MODE_TFIDF:
-        probabilities, forced = _batch_probabilities(batch_scores, config.beta)
-    else:
-        probabilities, forced = [None] * len(batch_scores), [0] * len(batch_scores)
-    outcomes, picked_terms, picked_draws = [], [], []
-    for position, rng in zip(positions, _sentence_rngs(config.seed, batch_index, positions)):
-        scores = batch_scores[position]
-        if config.selection_mode == MODE_RANDOM:
-            p, forced[position] = replacement_probabilities(scores, config.beta, MODE_RANDOM, rng)
-            probabilities[position] = p.tolist()
-        term_ids = scores.term_ids.tolist()
-        draws = rng.random(2 * len(term_ids)).tolist()
-        replaced, used, first = [], 0, len(picked_terms)
-        for term_id, probability in zip(term_ids, probabilities[position]):
-            hit = draws[used] < probability
-            used += 1
-            replaced.append(hit)
-            if hit:
-                picked_terms.append(term_id)
-                picked_draws.append(draws[used])
-                used += 1
-        outcomes.append((position, term_ids, replaced, first, len(picked_terms)))
+    k, width = draws.shape
+    starts = np.cumsum(lengths) - lengths
+    segment = np.repeat(np.arange(k), lengths)
+    column = np.arange(probabilities.size) - starts[segment]
+    padded = np.full((width // 2, k), -1.0)
+    padded[column, segment] = probabilities
+    flat = draws.ravel()
+    cursor = np.arange(0, k * width, width)  # each sentence's row start plus its hits so far
+    hits = np.empty(padded.shape, dtype=bool)
+    for t in range(padded.shape[0]):
+        np.less(flat[t:][cursor], padded[t], out=hits[t])
+        cursor += hits[t]
+    replaced = hits[column, segment]
+    before = np.cumsum(replaced) - replaced  # hits in the batch before each term
+    before -= before[starts][segment]  # ... in its own sentence
+    return replaced, flat[(segment * width + column + before + 1)[replaced]]
 
-    picks, zero_mass = _window_picks(
-        model, np.array(picked_terms, dtype=np.int64), np.array(picked_draws), config.radius
-    )
-    picks, zero_mass = picks.tolist(), zero_mass.tolist()
-    negatives, fallback = {}, []
-    for position, term_ids, replaced, first, stop in outcomes:
-        if any(zero_mass[first:stop]):
-            fallback.append(position)
+
+def _rewritten_tokens(model: TfIdfModel, batch: _Batch, replaced_keys: np.ndarray, picks: np.ndarray) -> list[str]:
+    """The batch's tokens with each in-vocabulary token whose key
+    position * m + term is in replaced_keys (ascending, not empty)
+    rewritten to that key's pick, found by one searchsorted. Only the
+    substitutes are gathered from the model's term strings; every other
+    token, out-of-vocabulary ones included, keeps its input string.
+    """
+    token_rows = np.repeat(np.arange(batch.indptr.size - 1), np.diff(batch.indptr))
+    known = np.flatnonzero(batch.ids >= 0)
+    keys = token_rows[known] * model.m + batch.ids[known]
+    slot = np.minimum(np.searchsorted(replaced_keys, keys), replaced_keys.size - 1)
+    rewritten = replaced_keys[slot] == keys
+    tokens = np.array(batch.tokens, dtype=object)
+    tokens[known[rewritten]] = model._term_strings[picks[slot[rewritten]]]
+    return tokens.tolist()
+
+
+def _augment_guided(
+    model: TfIdfModel, documents: Sequence[Document], batch: _Batch, config: AugmentationConfig, batch_index: int
+) -> dict[int, AugmentedSentence]:
+    """augment_sentence with tfidf replacement for every sentence of
+    batch.positions, each from its _sentence_rngs stream; the negatives by
+    position.
+
+    Each sentence draws its 2n values into one padded array (random
+    selection first draws its forced term with integers(), whose spare
+    32-bit half random() leaves alone). _decision_scan, one _window_picks
+    call and _rewritten_tokens do the rest on columns; plans are slices of
+    them. A sentence with a zero-mass window is redone by augment_sentence
+    from a fresh copy of its stream, whose uniform fallback draws
+    integers().
+    """
+    positions, bounds, terms = batch.positions, batch.bounds, batch.terms
+    if not positions.size:
+        return {}
+    lengths = np.diff(bounds)
+    draws = np.zeros((positions.size, 2 * int(lengths.max())))
+    random_selection = config.selection_mode == MODE_RANDOM
+    forced = np.empty(positions.size, dtype=np.int64)
+    rngs = _sentence_rngs(config.seed, batch_index, positions.tolist())
+    for j, (rng, n) in enumerate(zip(rngs, lengths.tolist())):
+        if random_selection:
+            forced[j] = rng.integers(n)
+        rng.random(out=draws[j, : 2 * n])
+    if random_selection:
+        forced += bounds[:-1]
+        probabilities = np.full(terms.size, config.beta)
+        probabilities[forced] = 1.0
+    else:
+        probabilities, forced = _batch_probabilities(batch.scores, lengths, config.beta)
+    replaced, window_draws = _decision_scan(draws, probabilities, lengths)
+
+    picked = np.flatnonzero(replaced)
+    picks, zero_mass = _window_picks(model, terms[picked], window_draws, config.radius)
+    sentence = np.repeat(np.arange(positions.size), lengths)[picked]
+    tokens = _rewritten_tokens(model, batch, positions[sentence] * model.m + terms[picked], picks)
+
+    fallback = set(sentence[zero_mass].tolist())
+    hit_bounds = np.searchsorted(sentence, np.arange(positions.size + 1)).tolist()
+    token_bounds, term_bounds = batch.indptr.tolist(), bounds.tolist()
+    negatives = {}
+    for j, (position, first) in enumerate(zip(positions.tolist(), (forced - bounds[:-1]).tolist())):
+        if j in fallback:
             continue
-        plan = ReplacementPlan(term_ids, probabilities[position], forced[position], replaced, picks[first:stop])
-        negatives[position] = _negative(model, documents[position], plan)
-    for position, rng in zip(fallback, _sentence_rngs(config.seed, batch_index, fallback)):
-        negatives[position] = augment_sentence(model, documents[position], batch_scores[position], config, rng)
+        a, b = term_bounds[j], term_bounds[j + 1]
+        plan = ReplacementPlan(
+            terms[a:b], probabilities[a:b], first, replaced[a:b], picks[hit_bounds[j] : hit_bounds[j + 1]]
+        )
+        document = documents[position]
+        negatives[position] = AugmentedSentence(
+            document.doc_id, tokens[token_bounds[position] : token_bounds[position + 1]], plan
+        )
+    fallback = sorted(fallback)
+    for j, rng in zip(fallback, _sentence_rngs(config.seed, batch_index, positions[fallback].tolist())):
+        position = int(positions[j])
+        negatives[position] = augment_sentence(model, documents[position], batch.scores_of(j), config, rng)
     return negatives
 
 
@@ -502,13 +600,13 @@ def augment_batch(
     that are multiples of alpha and the result has exactly one augmented
     sentence per input document. Off-schedule batches yield None.
 
-    The batch is scored with one sentence_scores call. Sentences with no
-    in-vocabulary terms, and every sentence when the vocabulary has a
-    single term, come back unaugmentable without drawing. The others draw
-    from their _sentence_rngs streams: with tfidf replacement the whole
-    batch at once through _augment_guided, with random replacement one
-    augment_sentence call each. Either way the output equals
-    augment_sentence with each sentence's sentence_rng.
+    The batch is built once as columns (_batch_columns). Sentences with
+    no in-vocabulary terms, and every sentence when the vocabulary has a single term, come
+    back unaugmentable without drawing. The others draw from their
+    _sentence_rngs streams: with tfidf replacement the whole batch at once
+    through _augment_guided, with random replacement one augment_sentence
+    call each. Either way the output equals augment_sentence with each
+    sentence's sentence_rng.
     """
     if not documents:
         raise ValueError("batch must be non-empty")
@@ -517,14 +615,14 @@ def augment_batch(
     if batch_index % config.alpha != 0:
         return None
 
-    batch_scores = sentence_scores(model, [document.tokens for document in documents])
-    positions = [position for position, scores in enumerate(batch_scores) if scores.n_terms and model.m > 1]
+    batch = _batch_columns(model, documents)
     if config.replacement_mode == MODE_TFIDF:
-        negatives = _augment_guided(model, documents, batch_scores, config, batch_index, positions)
+        negatives = _augment_guided(model, documents, batch, config, batch_index)
     else:
+        positions = batch.positions.tolist()
         negatives = {
-            position: augment_sentence(model, documents[position], batch_scores[position], config, rng)
-            for position, rng in zip(positions, _sentence_rngs(config.seed, batch_index, positions))
+            position: augment_sentence(model, documents[position], batch.scores_of(j), config, rng)
+            for j, (position, rng) in enumerate(zip(positions, _sentence_rngs(config.seed, batch_index, positions)))
         }
     sentences = [
         negatives[position] if position in negatives else _unaugmentable(document)

@@ -12,8 +12,9 @@ import logging
 import unicodedata
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,8 +85,24 @@ class Vocabulary:
             self._terms.append(term)
         return term_id
 
+    @classmethod
+    def _of_distinct(cls, terms: list[str]) -> "Vocabulary | None":
+        """The vocabulary of terms in order, or None if a term repeats;
+        terms is kept, not copied."""
+        ids = dict(zip(terms, range(len(terms))))
+        if len(ids) != len(terms):
+            return None
+        vocabulary = cls()
+        vocabulary._terms, vocabulary._ids = terms, ids
+        return vocabulary
+
     def get(self, term: str) -> int | None:
         return self._ids.get(term)
+
+    def ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """The int64 id of each token, -1 for a token not in the
+        vocabulary: one dict lookup per token."""
+        return np.fromiter(map(self._ids.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
 
     def term(self, term_id: int) -> str:
         if not 0 <= term_id < len(self._terms):

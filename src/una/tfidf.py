@@ -5,7 +5,12 @@ frequency, the maximum tf-idf score it reaches in any document, and the
 rank of that maximum among all terms. The full documents-by-terms score
 matrix is never materialized; sentence vectors are recomputed on demand
 from the idf values and the sentence's own term counts. One function,
-_row_tfs, counts the terms of fit and of sentence_scores alike.
+_row_tfs, counts the terms of fit and of batch scoring alike.
+
+A batch is scored as a Corpus holds it, token ids (-1 out of
+vocabulary) with row offsets: _score_columns returns (row, term, score)
+columns, which guided augmentation uses directly and sentence_scores
+slices into one SentenceScores per sentence.
 
 Conventions fixed here (they must match the serialized files and the test
 oracles): natural logarithms everywhere, tf(c, n) = log(1 + c/n),
@@ -20,6 +25,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,8 +37,16 @@ from .corpus import Corpus, Vocabulary, tokenize
 # [0-9], not \d: \d also matches non-ASCII digits such as "٣", which int() reads.
 _HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=([0-9]+) m=([0-9]+)$")
 
-# Term lines whose score texts load_model checks with one call: enough to
-# keep the check off each field, few enough that holding them costs little.
+# Term lines as save_model writes them, joined by newlines: a term with
+# alphanumeric ends ([^\W_] is str.isalnum()) and no whitespace, then two
+# score texts of [0-9.e+-], which float() and array checks finish. The
+# pattern is compiled on first use (re caches it), not at import.
+_TERM_LINE = r"[^\W_]\S*(?<=[^\W_])\t[0-9.e+-]+\t[0-9.e+-]+"
+_TERM_SECTION = rf"{_TERM_LINE}(?:\n{_TERM_LINE})*"
+
+# Term lines that load_model splits, or whose score texts it checks, with
+# one call: enough to keep the work off each field, few enough that
+# holding them costs little.
 _SCORE_CHECK_LINES = 1024
 
 # Documents per chunk of fit: large enough that numpy's per-call cost is
@@ -79,6 +94,11 @@ class TfIdfModel:
     def m(self) -> int:
         """Vocabulary size."""
         return len(self.vocabulary)
+
+    @cached_property
+    def _term_strings(self) -> np.ndarray:
+        """The vocabulary's terms as an object array indexed by term id."""
+        return np.array(self.vocabulary.terms, dtype=object)
 
     def rank_of(self, term_id: int) -> int:
         """Position of a term in the ascending max-score order."""
@@ -191,22 +211,31 @@ class SentenceScores:
         return int(self.term_ids.size)
 
 
+def _score_columns(model: TfIdfModel, indptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, term, score) for every distinct in-vocabulary term of every
+    row, ascending by (row, term). Row i is ids[indptr[i]:indptr[i + 1]];
+    its -1 ids (out of vocabulary) count neither as terms nor toward n.
+    """
+    known = ids >= 0
+    bounds = np.concatenate(([0], np.cumsum(known)))[indptr]
+    rows, terms, tfs = _row_tfs(bounds, ids[known], model.m)
+    return rows, terms, tfs * model.idf[terms]
+
+
 def sentence_scores(model: TfIdfModel, sentences: Sequence[Iterable[str]]) -> list[SentenceScores]:
     """Score each token list of a batch against the fitted model.
 
     Only in-vocabulary tokens are counted; out-of-vocabulary tokens
     contribute neither to the sentence length used by tf nor to the
     returned terms. A sentence with no known tokens yields an empty vector.
+    Each result is one sentence's slice of the batch's _score_columns.
     """
-    term_ids, indptr = [], [0]  # one row per sentence, counted by one _row_tfs call
-    for tokens in sentences:
-        term_ids.extend(term_id for term_id in map(model.vocabulary.get, tokens) if term_id is not None)
-        indptr.append(len(term_ids))
-    rows, terms, tfs = _row_tfs(np.array(indptr), np.array(term_ids, dtype=np.int64), model.m)
-    scores = tfs * model.idf[terms]
+    sentences = [list(tokens) for tokens in sentences]
+    indptr = np.cumsum([0, *map(len, sentences)])
+    rows, terms, scores = _score_columns(model, indptr, model.vocabulary.ids(list(chain.from_iterable(sentences))))
     # Entries ascend by (row, term), so each sentence is one slice that
     # already passes the checks of a directly built SentenceScores.
-    bounds = np.searchsorted(rows, np.arange(len(indptr))).tolist()
+    bounds = np.searchsorted(rows, np.arange(indptr.size)).tolist()
     return [SentenceScores._unchecked(terms[a:b], scores[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -258,6 +287,68 @@ def _check_score_texts(score_texts: list[str], first_line_number: int) -> None:
         if not _plain_score_text(text):
             label = ("idf", "max_score")[index % 2]
             raise ModelFormatError(first_line_number + index // 2, f"bad {label} value {text!r}")
+
+
+def _term_columns(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray] | None:
+    """The term section as (vocabulary, idf, max_score) if the regex gate
+    and array checks accept every line, else None.
+
+    Lowercase lines that _TERM_SECTION matches hold terms that tokenize
+    to themselves and plain score texts; left to check are repeated terms
+    and scores that float() rejects or reads as negative or infinite.
+    Lines are split _SCORE_CHECK_LINES at a time, so that few score texts
+    are alive at once beside the kept terms.
+    """
+    m = len(term_lines)
+    terms, idf_values, max_score = [], np.empty(m), np.empty(m)
+    for start in range(0, m, _SCORE_CHECK_LINES):
+        text = "\n".join(term_lines[start : start + _SCORE_CHECK_LINES])
+        if re.fullmatch(_TERM_SECTION, text) is None or text.lower() != text:
+            return None
+        cells = text.replace("\n", "\t").split("\t")
+        terms += cells[0::3]
+        try:
+            idf_values[start : len(terms)] = list(map(float, cells[1::3]))
+            max_score[start : len(terms)] = list(map(float, cells[2::3]))
+        except ValueError:
+            return None
+    vocabulary = Vocabulary._of_distinct(terms)
+    if vocabulary is None or not all(np.isfinite(s).all() and (s >= 0).all() for s in (idf_values, max_score)):
+        return None
+    return vocabulary, idf_values, max_score
+
+
+def _scan_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """The term section checked line by line, raising on the first bad
+    line: it names what _term_columns rejects, and accepts terms such as
+    "+" that tokenize to themselves without alphanumeric ends."""
+    m = len(term_lines)
+    vocabulary = Vocabulary()
+    idf_values = np.zeros(m, dtype=np.float64)
+    max_score = np.zeros(m, dtype=np.float64)
+    score_texts = []
+    for term_id, line in enumerate(term_lines):
+        line_number = 2 + term_id
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
+        term, idf_text, score_text = fields
+        # Augmented sentences are written as space-joined terms, so each term
+        # must read back as exactly itself. A lowercase alphanumeric term
+        # does: tokenize keeps a piece with alphanumeric ends whole, and no
+        # alphanumeric character is whitespace.
+        if not (term.isalnum() and term.lower() == term) and tokenize(term) != [term]:
+            raise ModelFormatError(line_number, f"term {term!r} is not a single token")
+        if term in vocabulary:
+            raise ModelFormatError(line_number, f"duplicate term {term!r}")
+        vocabulary.add(term)
+        idf_values[term_id] = _parse_score(idf_text, line_number, "idf")
+        max_score[term_id] = _parse_score(score_text, line_number, "max_score")
+        score_texts += idf_text, score_text
+        if len(score_texts) == 2 * _SCORE_CHECK_LINES or term_id == m - 1:
+            _check_score_texts(score_texts, line_number + 1 - len(score_texts) // 2)
+            score_texts.clear()
+    return vocabulary, idf_values, max_score
 
 
 def _rank_ids(rank_lines: list[str], max_score: np.ndarray) -> np.ndarray | None:
@@ -345,31 +436,9 @@ def load_model(source) -> TfIdfModel:
     if len(lines) < 1 + m + 1:
         raise ModelFormatError(len(lines) + 1, "truncated file: missing term or rank lines")
 
-    vocabulary = Vocabulary()
-    idf_values = np.zeros(m, dtype=np.float64)
-    max_score = np.zeros(m, dtype=np.float64)
-    score_texts = []
-    for term_id in range(m):
-        line_number = 2 + term_id
-        fields = lines[1 + term_id].split("\t")
-        if len(fields) != 3:
-            raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
-        term, idf_text, score_text = fields
-        # Augmented sentences are written as space-joined terms, so each term
-        # must read back as exactly itself. A lowercase alphanumeric term
-        # does: tokenize keeps a piece with alphanumeric ends whole, and no
-        # alphanumeric character is whitespace.
-        if not (term.isalnum() and term.lower() == term) and tokenize(term) != [term]:
-            raise ModelFormatError(line_number, f"term {term!r} is not a single token")
-        if term in vocabulary:
-            raise ModelFormatError(line_number, f"duplicate term {term!r}")
-        vocabulary.add(term)
-        idf_values[term_id] = _parse_score(idf_text, line_number, "idf")
-        max_score[term_id] = _parse_score(score_text, line_number, "max_score")
-        score_texts += idf_text, score_text
-        if len(score_texts) == 2 * _SCORE_CHECK_LINES or term_id == m - 1:
-            _check_score_texts(score_texts, line_number + 1 - len(score_texts) // 2)
-            score_texts.clear()
+    term_lines = lines[1 : 1 + m]
+    columns = _term_columns(term_lines)
+    vocabulary, idf_values, max_score = columns if columns is not None else _scan_terms(term_lines)
 
     ranks_line = 1 + m
     if lines[ranks_line] != "ranks:":

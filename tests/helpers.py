@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from una.corpus import Corpus, CorpusDecodeError, Document, Vocabulary
-from una.tfidf import TfIdfModel
+from una import tfidf
+from una.corpus import Corpus, CorpusDecodeError, Document, Vocabulary, tokenize
+from una.tfidf import ModelFormatError, TfIdfModel
 
 
 def reference_tokenize(text: str) -> list[str]:
@@ -65,6 +66,37 @@ def reference_fit(corpus: Corpus) -> TfIdfModel:
                 max_tf[term_id] = value
     idf_values = np.array([-math.log(df / n_docs) + 0.0 if df else 0.0 for df in doc_freq])
     return TfIdfModel(corpus.vocabulary, n_docs, idf_values, np.array(max_tf) * idf_values)
+
+
+def reference_load_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """load_model's term section read line by line, the oracle of its
+    regex-gated column parse: split each line on tabs, check the term
+    tokenizes to itself and is new, parse both scores, and check the score
+    texts are plain a chunk of lines at a time. Raises ModelFormatError
+    naming the first bad line."""
+    m = len(term_lines)
+    vocabulary = Vocabulary()
+    idf_values = np.zeros(m, dtype=np.float64)
+    max_score = np.zeros(m, dtype=np.float64)
+    score_texts = []
+    for term_id, line in enumerate(term_lines):
+        line_number = 2 + term_id
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
+        term, idf_text, score_text = fields
+        if tokenize(term) != [term]:
+            raise ModelFormatError(line_number, f"term {term!r} is not a single token")
+        if term in vocabulary:
+            raise ModelFormatError(line_number, f"duplicate term {term!r}")
+        vocabulary.add(term)
+        idf_values[term_id] = tfidf._parse_score(idf_text, line_number, "idf")
+        max_score[term_id] = tfidf._parse_score(score_text, line_number, "max_score")
+        score_texts += idf_text, score_text
+        if len(score_texts) == 2 * tfidf._SCORE_CHECK_LINES or term_id == m - 1:
+            tfidf._check_score_texts(score_texts, line_number + 1 - len(score_texts) // 2)
+            score_texts.clear()
+    return vocabulary, idf_values, max_score
 
 
 def reference_read_lines(source) -> tuple[list[tuple[int, str]], int]:

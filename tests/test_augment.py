@@ -691,22 +691,21 @@ class TestBatchProbabilities:
 
     def test_matches_per_sentence_probabilities(self):
         rng = np.random.default_rng(8)
-        lengths = [0, *range(1, 301), *rng.integers(1, 301, size=60), 1, 5, 5]
+        lengths = [*range(1, 301), *rng.integers(1, 301, size=60), 1, 5, 5]
         batch = []
         for n in lengths:
             values = rng.random(n) * 3.0
             if n % 7 == 0:
                 values[:] = 0.25  # all-equal scores
             batch.append(SentenceScores(np.arange(n), values))
+        z = np.concatenate([scores.scores for scores in batch])
+        starts = np.cumsum(lengths) - lengths
         for beta in (5e-324, 0.1, 0.5, 1.0):
-            probabilities, forced = _batch_probabilities(batch, beta)
-            for scores, got, position in zip(batch, probabilities, forced):
-                if scores.n_terms == 0:
-                    assert got is None
-                    continue
+            probabilities, forced = _batch_probabilities(z, np.array(lengths), beta)
+            for scores, start, position in zip(batch, starts.tolist(), forced.tolist()):
                 want, want_forced = replacement_probabilities(scores, beta)
-                assert np.array(got).tobytes() == want.tobytes()
-                assert position == want_forced
+                assert probabilities[start : start + scores.n_terms].tobytes() == want.tobytes()
+                assert position == start + want_forced
 
 
 class TestBatchPath:
@@ -771,6 +770,93 @@ class TestBatchPath:
         assert [s.tokens for s in huge.sentences] == [s.tokens for s in wide.sentences]
         assert [s.plan.entries for s in huge.sentences] == [s.plan.entries for s in wide.sentences]
         assert_matches_oracle(model, documents, AugmentationConfig(radius=10**30, alpha=1, seed=4), 1)
+
+
+class TestColumnarBatch:
+    """The guided batch path on token-id columns: scores, decisions and
+    substitutions in mixed-length batches with out-of-vocabulary tokens."""
+
+    @pytest.fixture
+    def model(self):
+        return fit(zipf_corpus(np.random.default_rng(21), n_sentences=400, vocab_size=120))
+
+    def test_oov_tokens_between_repeated_replaced_terms(self, model):
+        # Every occurrence of a replaced term takes the same substitute,
+        # and the out-of-vocabulary tokens around them keep their places.
+        terms = model.vocabulary.terms
+        documents = []
+        for n in range(1, 13):
+            sentence = terms[n : 2 * n]
+            tokens = []
+            for k, term in enumerate(sentence * 3):
+                tokens += [term, f"oov{k}"] if k % 2 else [f"q{k}", term, term]
+            documents.append(Document(n, tokens))
+        for seed in range(4):
+            config = AugmentationConfig(radius=30, alpha=1, seed=seed)
+            assert_matches_oracle(model, documents, config, 3)
+            for document, negative in zip(documents, augment_batch(model, documents, config, 3).sentences):
+                substitutes = {e.term_id: e.replacement_id for e in negative.plan.entries if e.replaced}
+                assert substitutes
+                for token, out in zip(document.tokens, negative.tokens):
+                    term_id = model.vocabulary.get(token)
+                    if term_id is None:
+                        assert out == token
+                    else:
+                        assert out == terms[substitutes.get(term_id, term_id)]
+
+    def test_oov_only_lines_mid_batch(self, model):
+        terms = model.vocabulary.terms
+        lines = [terms[3:9], ["oov", "zzz"], terms[20:22] + ["q"], [], ["q", "q", "qq"], terms[40:52], ["x-oov"]]
+        documents = [Document(i, tokens) for i, tokens in enumerate(lines * 3)]
+        for seed in range(4):
+            config = AugmentationConfig(radius=10, alpha=1, seed=seed)
+            assert_matches_oracle(model, documents, config, 5)
+            batch = augment_batch(model, documents, config, 5)
+            flags = [sentence.unaugmentable for sentence in batch.sentences]
+            assert flags == [False, True, False, True, True, False, True] * 3
+            for document, sentence in zip(documents, batch.sentences):
+                if sentence.unaugmentable:
+                    assert sentence.tokens == document.tokens
+
+    def test_only_in_vocabulary_term_repeats(self, model):
+        term = model.vocabulary.terms[7]
+        documents = [
+            Document(0, [term, "oov", term, term]),
+            Document(1, model.vocabulary.terms[10:25]),
+            Document(2, ["oov", term]),
+            Document(3, [term] * 5 + ["oov"]),
+        ]
+        for seed in range(8):
+            config = AugmentationConfig(radius=5, alpha=1, seed=seed)
+            assert_matches_oracle(model, documents, config, 1)
+            batch = augment_batch(model, documents, config, 1)
+            for position in (0, 2, 3):
+                (entry,) = batch.sentences[position].plan.entries
+                assert entry.forced and entry.replaced and entry.probability == 1.0
+                substitute = model.vocabulary.term(entry.replacement_id)
+                expected = [substitute if token == term else token for token in documents[position].tokens]
+                assert batch.sentences[position].tokens == expected
+
+    def test_probabilities_for_every_term_count_to_40(self):
+        # Sentences of 1 to 40 distinct terms in one batch: numpy's pairwise
+        # sum works in blocks of 8, so each length groups its additions
+        # differently, and every probability must equal the per-sentence one.
+        rng = np.random.default_rng(40)
+        model = synthetic_model(rng.random(60) * 4, rng.random(60) * 2)
+        terms = model.vocabulary.terms
+        documents = [
+            Document(n, [terms[k] for k in rng.choice(60, size=n, replace=False)] + ["oov"] * (n % 3))
+            for n in range(1, 41)
+        ]
+        for beta in (0.1, 0.5, 1.0):
+            config = AugmentationConfig(beta=beta, radius=7, alpha=1, seed=int(beta * 10))
+            assert_matches_oracle(model, documents, config, 2)
+            batch = augment_batch(model, documents, config, 2)
+            for document, sentence in zip(documents, batch.sentences):
+                scores = sentence_scores(model, [document.tokens])[0]
+                want, forced = replacement_probabilities(scores, beta)
+                assert sentence.plan.probabilities.tobytes() == want.tobytes()
+                assert sentence.plan.forced == forced
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -16,6 +17,7 @@ from helpers import (
     corpus_token_lists,
     random_corpus,
     reference_fit,
+    reference_load_terms,
     reference_term_frequencies,
     synthetic_model,
 )
@@ -268,6 +270,28 @@ class TestBatchScoresDifferential:
     @given(_model_and_batch())
     def test_random_batches(self, model_and_batch):
         _assert_matches_reference_scores(*model_and_batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_model_and_batch())
+    def test_score_columns(self, model_and_batch):
+        # The batch's token ids, -1 for out-of-vocabulary tokens, and its
+        # (row, term, score) columns against the Counter oracle times idf.
+        model, batch = model_and_batch
+        vocabulary = model.vocabulary
+        indptr = np.cumsum([0] + [len(tokens) for tokens in batch])
+        ids = vocabulary.ids([token for tokens in batch for token in tokens])
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [vocabulary.get(t) if t in vocabulary else -1 for tokens in batch for t in tokens]
+        rows, terms, scores = tfidf._score_columns(model, indptr, ids)
+        want_rows, want_terms, want_scores = [], [], []
+        for row, tokens in enumerate(batch):
+            term_ids, tfs = reference_term_frequencies(vocabulary, tokens)
+            want_rows += [row] * len(term_ids)
+            want_terms += term_ids
+            want_scores.append(np.array(tfs, dtype=np.float64) * model.idf[np.array(term_ids, dtype=np.int64)])
+        _assert_bit_equal(rows, np.array(want_rows, dtype=np.int64))
+        _assert_bit_equal(terms, np.array(want_terms, dtype=np.int64))
+        _assert_bit_equal(scores, np.concatenate([np.zeros(0), *want_scores]))
 
     def test_empty_vocabulary(self):
         model = synthetic_model([])
@@ -550,3 +574,89 @@ class TestPlainText:
     def test_lowercase_alphanumeric_terms_are_one_token(self, text):
         if text.isalnum() and text.lower() == text:
             assert tokenize(text) == [text]
+
+
+def _load_outcome(text: str):
+    """What load_model makes of a model text: its error, or its columns."""
+    try:
+        model = load_model(io.StringIO(text))
+    except ModelFormatError as error:
+        return "error", error.line_number, str(error)
+    return "model", model.vocabulary.terms, model.idf.tobytes(), model.max_score.tobytes(), model.rank_by_score.tobytes()
+
+
+class TestTermColumns:
+    """load_model's regex-gated column parse of the term section against
+    the line-by-line oracle in helpers."""
+
+    TERMS = ["the", "ba-loki", "x-45c", "don't", "ärger", "日本", "straße", "a", "7", "naïve", "q2"]
+
+    @pytest.fixture
+    def saved(self):
+        corpus = corpus_from_token_lists([self.TERMS[k::3] + ["the"] for k in range(3)] + [self.TERMS[:2]])
+        buffer = io.StringIO()
+        save_model(fit(corpus), buffer)
+        return buffer.getvalue()
+
+    def assert_matches_loop(self, text, monkeypatch):
+        got = _load_outcome(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(tfidf, "_term_columns", reference_load_terms)
+            assert got == _load_outcome(text)
+        return got
+
+    def test_saved_models_take_the_column_path(self, saved):
+        lines = saved.split("\n")
+        m = len(self.TERMS)
+        vocabulary, idf_values, max_score = tfidf._term_columns(lines[1 : 1 + m])
+        want = reference_load_terms(lines[1 : 1 + m])
+        assert vocabulary == want[0] and vocabulary.get("x-45c") == want[0].get("x-45c")
+        assert idf_values.tobytes() == want[1].tobytes() and max_score.tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [(0, t) for t in ["Ab", "a b", "-ab", "ab-", "+", "$5", "a_b", "_a", "", "Ärger", "ǅ", "x²", "a\u00a0b", "ab\r",
+                          "the", "a#", "ⅸ", "İ", "σς", "Σ"]]
+        + [(f, t) for f in (1, 2) for t in ["1E5", "-0.0", "-1", "1e999", "nan", "inf", "1_0", " 1", "+1", "1.", ".5",
+                                              "e5", "١", "", "0x10", "1e5", "5e-324", "1.5e+300", "1e", "1..2", "-"]],
+    )
+    @pytest.mark.parametrize("line", [0, 5, 10])
+    def test_corrupted_field_matches_loop(self, saved, monkeypatch, field, text, line):
+        lines = saved.split("\n")
+        fields = lines[1 + line].split("\t")
+        fields[field] = text
+        lines[1 + line] = "\t".join(fields)
+        self.assert_matches_loop("\n".join(lines), monkeypatch)
+
+    @pytest.mark.parametrize("line", [0, 5, 10])
+    def test_corrupted_structure_matches_loop(self, saved, monkeypatch, line):
+        lines = saved.split("\n")
+        row = lines[1 + line]
+        for changed in [row + "\t", row.rsplit("\t", 1)[0], row.replace("\t", " ", 1), row.replace("\t", "\n", 1),
+                        row + "\n" + row, "\t" + row, row.replace("\t", "\t\t", 1)]:
+            self.assert_matches_loop("\n".join(lines[: 1 + line] + [changed] + lines[2 + line :]), monkeypatch)
+        self.assert_matches_loop("\n".join(lines[: 1 + line] + lines[2 + line :]), monkeypatch)
+
+    def test_random_edits_match_loop(self, saved, monkeypatch):
+        rng = np.random.default_rng(5)
+        section_end = saved.index("ranks:")
+        pool = list("\t\n -_eE.+0123456789aZé²#\r ١") + ["ab", "-0", "1e9999"]
+        outcomes = set()
+        for _ in range(400):
+            at = int(rng.integers(saved.index("\n") + 1, section_end))
+            piece = pool[int(rng.integers(len(pool)))]
+            edit = int(rng.integers(3))
+            if edit == 0:
+                text = saved[:at] + piece + saved[at:]
+            elif edit == 1:
+                text = saved[:at] + piece + saved[at + 1 :]
+            else:
+                text = saved[:at] + saved[at + 1 :]
+            outcomes.add(self.assert_matches_loop(text, monkeypatch)[0])
+        assert outcomes == {"error", "model"}
+
+    def test_gate_classes_match_str_methods(self):
+        # The gate reads [^\W_] as str.isalnum() and \s as str.isspace().
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"[^\W_]", text) == [char for char in text if char.isalnum()]
+        assert re.findall(r"\s", text) == [char for char in text if char.isspace()]
