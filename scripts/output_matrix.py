@@ -21,6 +21,10 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   augment-guided input of seed 1 with the benchmark's flags;
 - `una augment` on the sample corpus with beta 0.1 and 1.0, seeds 1-5 x
   radius 3/50/4000 (alpha 1, batch size 16);
+- `una fit` on a corpus written by this script that is heavy in pieces
+  that trim to nothing, with words in mixed case wrapped in Unicode
+  punctuation, rows made only of dropped pieces and blank lines; its
+  dropped pieces span several of load_corpus's compaction chunks;
 - `una fit` on a small corpus written by this script in which four terms
   occur in every line (idf 0, so max score 0) and a quarter of the lines
   hold only those terms, then `una augment` on it with radius 1 and 2,
@@ -40,7 +44,7 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   which writes only to standard output;
 - the standard output of every run.
 
-That is 324 files per side. The script prints how many are identical,
+That is 326 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -99,10 +103,39 @@ def write_zero_score_corpus(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_punctuated_corpus(path: Path) -> None:
+    """20,000 lines of words from a pool of 400, each in lower, title or
+    upper case and often wrapped in punctuation, between pieces that trim
+    to nothing; about one line in 50 holds only such pieces and one in 50
+    is blank."""
+    rng = random.Random(0)
+    stems = ["σας", "straße", "istanbul", "x-45c", "it's", "naïve", "ǆungla"]
+    pool = stems + [f"{rng.choice(stems)[:3]}{k}" for k in range(400 - len(stems))]
+    wraps = ["", "", "«»", "“”", "¿?", "¡!", "()", "‘’", "「」", ".", ",", "…", "—"]
+    empty = ["—", "–", "…", "...", "«»", "-", "·", "¿¡", "'", "、", "‼"]
+    lines = []
+    for _ in range(20000):
+        kind = rng.randrange(50)
+        if kind == 0:
+            lines.append("")
+            continue
+        pieces = [rng.choice(empty) for _ in range(rng.randint(1, 4))]
+        if kind != 1:
+            for _ in range(rng.randint(1, 8)):
+                word = rng.choice((str.lower, str.title, str.upper))(rng.choice(pool))
+                wrap = rng.choice(wraps)
+                pieces.append(f"{wrap[0]}{word}{wrap[1]}" if len(wrap) == 2 else word + wrap)
+                pieces.append(rng.choice(empty))
+        rng.shuffle(pieces)
+        lines.append(rng.choice((" ", "  ", "\t", "\u3000")).join(pieces))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def make_inputs(work: Path) -> None:
-    """Write the zero-score corpus and the bench/gen.py inputs of every
-    workload for every seed."""
+    """Write the punctuated and zero-score corpora and the bench/gen.py
+    inputs of every workload for every seed."""
     work.mkdir(parents=True)
+    write_punctuated_corpus(work / "punctuated_corpus.txt")
     write_zero_score_corpus(work / "zero_score_corpus.txt")
     for workload in ("fit-corpus", "augment-guided", "train-eval"):
         for seed in GEN_SEEDS:
@@ -152,6 +185,7 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
                 flags = ["--radius", str(radius), "--beta", str(beta), "--alpha", "1", "--batch-size", "16"]
                 name = f"augment-sample-s{seed}-r{radius}-b{beta}"
                 matrix.append(augment(name, "fit-sample", SAMPLE_CORPUS, seed, flags))
+    matrix.append(fit("fit-punctuated", inputs / "punctuated_corpus.txt"))
     zero_score = inputs / "zero_score_corpus.txt"
     matrix.append(fit("fit-zero-score", zero_score))
     for seed in ZERO_SCORE_SEEDS:

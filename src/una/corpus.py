@@ -4,6 +4,13 @@ A corpus file is plain UTF-8 text, one sentence per line (LF line endings,
 trailing newline optional). Tokenization is deliberately minimal: split on
 whitespace, trim surrounding punctuation, lowercase. Interior punctuation
 (hyphens, apostrophes) is kept so tokens like "x-45c" survive intact.
+
+load_corpus does not tokenize line by line: it maps each lowercased
+whitespace piece straight to a term id through a piece table that
+tokenizes a piece once, on its first lookup, and maps a piece that trims
+to nothing to -1, which is then dropped from the id column in place.
+Pieces repeat far more often than they are new, so most pieces cost one
+dict lookup.
 """
 
 from __future__ import annotations
@@ -220,30 +227,78 @@ def build_vocabulary(documents: Iterable[Document]) -> Vocabulary:
     return vocabulary
 
 
-class _TermIds(dict):
-    """Term -> id map that gives an unseen term the next id on lookup."""
+class _PieceTable(dict):
+    """Lowercased whitespace piece -> term id, or -1 for a piece that trims
+    to nothing; a piece is tokenized once, on its first lookup.
 
-    def __missing__(self, term: str) -> int:
-        self[term] = term_id = len(self)
+    tokenize(piece) gives the piece's one term, because str.lower is
+    idempotent and a piece holds no whitespace. A piece that is its own
+    term gets the next id and is appended to terms, so ids are in
+    first-occurrence order of the terms.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.terms: list[str] = []
+
+    def __missing__(self, piece: str) -> int:
+        tokens = tokenize(piece)
+        if not tokens:
+            term_id = -1
+        elif tokens[0] != piece:
+            term_id = self[tokens[0]]
+        else:
+            term_id = len(self.terms)
+            self.terms.append(piece)
+        self[piece] = term_id
         return term_id
 
 
+# Ids moved per step when load_corpus squeezes out the dropped pieces: the
+# kept ids of one chunk are the only copy made.
+_COMPACT_CHUNK = 1 << 16
+
+
+def _drop_empty_pieces(term_ids: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Remove the -1 ids in place and shift each row offset back by the
+    number of them before it; return the kept ids, a view of term_ids."""
+    dropped = np.flatnonzero(term_ids < 0)
+    if not dropped.size:
+        return term_ids
+    indptr -= np.searchsorted(dropped, indptr)
+    kept = 0
+    for start in range(0, term_ids.size, _COMPACT_CHUNK):
+        chunk = term_ids[start:start + _COMPACT_CHUNK]
+        chunk = chunk[chunk >= 0]
+        term_ids[kept:kept + chunk.size] = chunk
+        kept += chunk.size
+    return term_ids[:kept]
+
+
 def load_corpus(source) -> Corpus:
-    """Load a one-sentence-per-line corpus, tokenizing each line into ids as it is read.
+    """Load a one-sentence-per-line corpus, mapping each line to ids as it is read.
 
     Blank lines are skipped (they carry nothing to score or replace) and
     counted in a single warning; the kept lines are the rows, in order.
-    Term ids are in first-occurrence order, as build_vocabulary gives them.
+    Each lowercased whitespace piece is looked up in a piece table, which
+    tokenizes a piece only the first time it is seen; a piece that trims
+    to nothing maps to -1 and is squeezed out of the id column in place
+    once every line is read. The rows hold tokenize(line)'s tokens, and
+    term ids are in first-occurrence order, as build_vocabulary gives them.
     """
-    ids = _TermIds()
+    table = _PieceTable()
     term_ids, indptr = array("q"), array("q", [0])
     number = 0
     for number, text in _iter_raw_lines(source):
         if text:
-            term_ids.extend(map(ids.__getitem__, tokenize(text)))
+            term_ids.extend(map(table.__getitem__, text.lower().split()))
             indptr.append(len(term_ids))
     # Line numbers run from 1 with none left out, so the last one counts the lines.
     skipped = number - (len(indptr) - 1)
     if skipped:
         logger.warning("skipped %d blank line(s)", skipped)
-    return Corpus(Vocabulary(ids), np.frombuffer(indptr, np.int64), np.frombuffer(term_ids, np.int64))
+    terms = table.terms
+    del table
+    indptr = np.frombuffer(indptr, np.int64)
+    term_ids = _drop_empty_pieces(np.frombuffer(term_ids, np.int64), indptr)
+    return Corpus(Vocabulary._of_distinct(terms), indptr, term_ids)

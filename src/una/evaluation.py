@@ -80,6 +80,10 @@ def load_scored_pairs(source) -> list[ScoredPair]:
         if len(fields) != 3:
             raise PairsFormatError(line_number, f"expected 3 tab-separated columns, got {len(fields)}")
         try:
+            # float() also reads "1_0" as 10 and non-ASCII digits, where a
+            # typo would silently move the pair's rank.
+            if not fields[2].isascii() or "_" in fields[2]:
+                raise ValueError
             gold = float(fields[2])
         except ValueError:
             raise PairsFormatError(line_number, f"bad gold score {fields[2]!r}") from None

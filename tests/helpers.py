@@ -139,6 +139,15 @@ def corpus_from_token_lists(token_lists, vocabulary_terms=None) -> Corpus:
     return Corpus(vocabulary, indptr, [term_id for row in rows for term_id in row])
 
 
+def reference_load_corpus(source) -> tuple[list[str], list[list[str]]]:
+    """load_corpus's definition, one line at a time: the terms in
+    first-occurrence order, and each non-blank line's reference_tokenize
+    tokens."""
+    lines, _ = reference_read_lines(source)
+    rows = [reference_tokenize(text) for _, text in lines]
+    return list(dict.fromkeys(token for row in rows for token in row)), rows
+
+
 def corpus_token_lists(corpus: Corpus) -> list[list[str]]:
     """Each document (row) of a corpus as its list of terms."""
     terms, bounds, ids = corpus.vocabulary.terms, corpus.indptr.tolist(), corpus.term_ids.tolist()

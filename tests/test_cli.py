@@ -267,6 +267,13 @@ class TestEval:
         assert main(["eval", "--pairs", str(pairs), "--model", str(model_file)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gold", ["1_0", "\u0663"])
+    def test_gold_not_plain_ascii_exits_1_with_line(self, tmp_path, model_file, capsys, gold):
+        pairs = tmp_path / "pairs.tsv"
+        write_lines(pairs, ["a b\ta b\t5.0", f"a\tb\t{gold}", "b\tc\t0.5"])
+        assert main(["eval", "--pairs", str(pairs), "--model", str(model_file)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_encoder_flags_change_result(self, tmp_path, model_file, capsys):
         pairs = self.make_pairs(tmp_path)
         main(["eval", "--pairs", str(pairs), "--model", str(model_file), "--encoder-seed", "1"])

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from helpers import (
     SAMPLE_CORPUS,
     corpus_token_lists,
+    reference_load_corpus,
     reference_read_lines,
     reference_tokenize,
 )
 from una.corpus import (
+    _COMPACT_CHUNK,
     Corpus,
     CorpusDecodeError,
     Document,
@@ -241,6 +243,49 @@ class TestLoadCorpus:
     def test_corpus_len(self):
         assert len(load_corpus(io.StringIO("a\nb\n"))) == 2
         assert isinstance(load_corpus(io.StringIO("a\n")), Corpus)
+
+
+# Pieces that trim to nothing, and pieces that reach the term "word" with
+# and without punctuation and capitals.
+_EMPTY_PIECES = ["-", "—", "«»", "...", "¿¡", "'", "\u3001"]
+_WORD_PIECES = ["word", "Word", "WORD", "word.", "«word»", "(Word)", "'WORD'", "x-45c", "X-45C,", "ΣΑΣ.", "σας"]
+_PIECES = st.one_of(
+    st.sampled_from(_EMPTY_PIECES + _WORD_PIECES),
+    st.text(alphabet=st.sampled_from(_TRICKY), min_size=1, max_size=5),
+)
+
+
+class TestLoadCorpusOracle:
+    """load_corpus's piece table and in-place compaction give what
+    tokenizing each line and numbering terms by first occurrence gives."""
+
+    def check(self, text):
+        terms, rows = reference_load_corpus(io.StringIO(text))
+        corpus = load_corpus(io.StringIO(text))
+        assert corpus.vocabulary.terms == terms
+        assert corpus_token_lists(corpus) == rows
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.lists(_PIECES, max_size=8).map(" ".join), max_size=10).map("\n".join))
+    @example("- word —\n«»\n\nWord. ...\n... -- «»\nword «Word» WORD,")  # empty pieces at the ends
+    @example("Word. x\nword\n(WORD) word")  # reached punctuated and capitalised first, then bare
+    @example("word\n«Word»\nWORD.")  # reached bare first
+    @example("—\n- ...\n\n«»")  # rows made only of empty pieces
+    @example("a\n-\nb -\n- c")  # a dropped piece at the start of the next row
+    def test_matches_per_line_reference(self, text):
+        self.check(text)
+
+    def test_compaction_across_chunks(self):
+        # Each line keeps four pieces and drops five, so more than
+        # _COMPACT_CHUNK of each are spread over several chunks.
+        lines = [
+            f"— W{k % 997}. «w{k % 991}» ... -- x{k % 13} ¿¡ Y{k}, '"
+            for k in range(_COMPACT_CHUNK // 3)
+        ]
+        text = "\n".join(lines)
+        corpus = load_corpus(io.StringIO(text))
+        assert corpus.term_ids.size == 4 * len(lines) > _COMPACT_CHUNK
+        self.check(text)
 
 
 class TestCorpusLayout:

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from helpers import reference_average_ranks, spearman_oracle
-from una.contrastive import ToyEncoder
+from una.contrastive import PairsFormatError, ToyEncoder
 from una.corpus import Vocabulary
 from una.evaluation import (
     EvalDataError,
@@ -134,6 +134,14 @@ class TestLoadScoredPairs:
         with pytest.raises(Exception) as err:
             load_scored_pairs(io.StringIO("a\tb\thigh\n"))
         assert "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("gold", ["1_0", "٣", "３", "1.5\u00a0"])
+    def test_gold_not_plain_ascii_rejected(self, gold):
+        with pytest.raises(PairsFormatError, match="line 2.*bad gold score"):
+            load_scored_pairs(io.StringIO(f"a\tb\t1\nc\td\t{gold}\n"))
+
+    def test_negative_gold_accepted(self):
+        assert load_scored_pairs(io.StringIO("a\tb\t-2.5e0\n"))[0].gold == -2.5
 
     def test_non_finite_gold_rejected(self):
         with pytest.raises(Exception):
