@@ -13,9 +13,13 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
 - `una augment` on the augment-guided input with that seed's model and the
   benchmark's flags, seeds 1-3;
 - `una augment` on the augment-guided input of seed 1 with the
-  benchmark's flags at --batch-size 1, 7 and 6000 (one batch holding
-  every line): single-sentence batches, batches that end mid-input, and
-  one batch of every sentence length at once;
+  benchmark's flags at --batch-size 1, 7, 1000, 1500 and 6000 (one batch
+  holding every line): single-sentence batches, batches that end
+  mid-input, batches that straddle augmentation passes, and one batch of
+  every sentence length at once;
+- the same input and flags with --alpha 3, so that off-schedule batches
+  sit between on-schedule ones in a pass, and with --replacement-mode
+  random --batch-size 1, whose passes span many batches;
 - guided `una augment` with the two-word seeds 2**32 + 5 and 2**64 - 1, on
   the sample corpus (radius 50, alpha 1, batch size 16) and on the
   augment-guided input of seed 1 with the benchmark's flags;
@@ -44,7 +48,7 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   which writes only to standard output;
 - the standard output of every run.
 
-That is 326 files per side. The script prints how many are identical,
+That is 334 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -79,7 +83,11 @@ LOSS_DEMO_DIMS = (1, 7, 4096)
 EVAL_DIMS = (1, 7, 256, 4096)
 EVAL_ENCODER_SEEDS = (0, 2**64 - 1)
 # Batch sizes run besides the benchmark's 64 on one augment-guided input.
-BATCH_SIZES = (1, 7, 6000)
+BATCH_SIZES = (1, 7, 1000, 1500, 6000)
+# Flags run besides the benchmark's on the same input: batches off the
+# schedule between passes' rows, and random replacement in passes that
+# span many batches.
+PASS_FLAGS = {"a3": ["--alpha", "3"], "random-b1": ["--replacement-mode", "random", "--batch-size", "1"]}
 # The flags of the augment-guided workload (AUGMENT_FLAGS in bench/workloads.py).
 BENCH_AUGMENT_FLAGS = [
     "--alpha", "1", "--batch-size", "64", "--radius", "4000", "--beta", "0.5",
@@ -173,6 +181,10 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
         flags = [*BENCH_AUGMENT_FLAGS, "--batch-size", str(batch_size)]  # the last --batch-size wins
         name = f"augment-guided-{GEN_SEEDS[0]}-b{batch_size}"
         matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], flags))
+    for label, extra in PASS_FLAGS.items():
+        source = inputs / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
+        name = f"augment-guided-{GEN_SEEDS[0]}-{label}"
+        matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], [*BENCH_AUGMENT_FLAGS, *extra]))
     for seed in MULTI_WORD_SEEDS:
         flags = ["--radius", "50", "--alpha", "1", "--batch-size", "16"]
         matrix.append(augment(f"augment-sample-s{seed}-r50", "fit-sample", SAMPLE_CORPUS, seed, flags))

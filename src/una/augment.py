@@ -21,32 +21,39 @@ the same law directly, one window at a time.
 
 Randomness comes from counter-based Philox streams derived from
 (master seed, batch index, position in batch), so a sentence's negative
-does not depend on the order in which a batch's sentences are processed.
-`sentence_rng` defines each stream: a Philox generator seeded by
-numpy's SeedSequence over those coordinates. A Philox stream is fixed by
-its key alone, so for every mode `_sentence_rngs` derives the keys of a
-batch's sentences in one array pass of the SeedSequence hash that
-`una._seedseq` shares with the toy encoder (`_philox_keys`) and re-keys
-one generator with them.
+does not depend on the order in which sentences are processed, nor on
+which of them are processed together. `sentence_rng` defines each
+stream: a Philox generator seeded by numpy's SeedSequence over those
+coordinates. A Philox stream is fixed by its key alone, so for every
+mode `_sentence_rngs` derives the keys of many sentences, each with its
+own batch index and position, in one array pass of the SeedSequence hash
+that `una._seedseq` shares with the toy encoder (`_philox_keys`) and
+re-keys one generator with them.
 
 `augment_sentence` augments one sentence from the stream it is given: it
 runs random replacement and windows with no score mass, and is the test
-oracle of the guided path. `augment_batch` builds its batch once as
-columns (`_Batch`), as a `Corpus` holds them: token ids with row offsets
-and the (sentence, term, score) columns. With tfidf replacement the
-batch stays in columns, byte-identical to the oracle: segment
-reductions, one bulk draw per sentence, a decision scan one term
-position at a time, one `_window_picks` call, and substitution by
-(sentence, term) key. Sentences with no in-vocabulary terms come back
-unchanged without a stream. Plans keep their outcomes as array columns
-and build `TermReplacement` entries only when they are read.
+oracle of the guided path. Sentences are augmented in passes: a pass is
+a run of sentences from one or more consecutive on-schedule batches,
+and it closes before its rows times twice the most tokens in one of
+them would pass _PASS_CELLS; a sentence over that budget goes alone.
+`iter_negative_batches` fills passes across batches and hands each batch
+its negatives in order; `augment_batch` is the same code over one batch,
+which a long line may split into several passes. A pass is built once
+as columns (`_Pass`), as a `Corpus` holds them: token ids with row
+offsets and the (row, term, score) columns. With tfidf replacement the
+pass stays in columns, byte-identical to the oracle: segment reductions,
+one bulk draw per sentence, a decision scan one term position at a time,
+one `_window_picks` call, and substitution by (row, term) key. Sentences
+with no in-vocabulary terms come back unchanged without a stream. Plans
+keep their outcomes as array columns and build `TermReplacement` entries
+only when they are read.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, islice, tee
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,6 +65,9 @@ from .tfidf import SentenceScores, TfIdfModel, _score_columns
 MODE_TFIDF = "tfidf"
 MODE_RANDOM = "random"
 _MODES = (MODE_TFIDF, MODE_RANDOM)
+# Most cells of a pass's padded draw array. Every column of a pass grows with
+# its rows and tokens, so this bounds them all; CHANGES.md has the sweep.
+_PASS_CELLS = 2**14
 
 
 class EmptySentenceError(ValueError):
@@ -90,6 +100,10 @@ class AugmentationConfig:
     replacement_mode: str = MODE_TFIDF
 
     def __post_init__(self):
+        for name in ("radius", "alpha", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if self.radius < 1:
@@ -381,25 +395,25 @@ def sentence_rng(master_seed: int, batch_index: int, position: int) -> np.random
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _philox_keys(seed: int, batch_index: int, positions: Sequence[int]) -> np.ndarray:
+def _philox_keys(seed: int, batch_indices, positions: Sequence[int]) -> np.ndarray:
     """(n, 2) uint64: row i is the key of sentence_rng's stream at (seed,
-    batch_index, positions[i]), from one pass of the shared SeedSequence hash."""
-    return spawn_states(seed, batch_index, positions, 2)
+    batch index, positions[i]), from one pass of the shared SeedSequence
+    hash; batch_indices is one int for every row or one per row."""
+    return spawn_states(seed, batch_indices, positions, 2)
 
 
-def _sentence_rngs(
-    master_seed: int, batch_index: int, positions: Sequence[int]
-) -> Iterator[np.random.Generator]:
-    """For each position, a generator in the state that sentence_rng
-    starts in at (master_seed, batch_index, position).
+def _sentence_rngs(master_seed: int, batch_indices, positions: Sequence[int]) -> Iterator[np.random.Generator]:
+    """For each row, a generator in the state that sentence_rng starts in
+    at (master_seed, batch index, positions[i]); batch_indices is one int
+    for every row or one per row.
 
-    One Philox generator serves every position: it is re-keyed to the key
+    One Philox generator serves every row: it is re-keyed to the key
     that sentence_rng's SeedSequence derives, with counter 0, an empty
     buffer and no spare 32-bit half, which is the state a new Philox
     starts in. One _philox_keys call derives every key. The one generator
     is yielded each time, so draw from it before advancing.
     """
-    keys = _philox_keys(master_seed, batch_index, positions)
+    keys = _philox_keys(master_seed, batch_indices, positions)
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state
@@ -412,34 +426,34 @@ def _sentence_rngs(
         yield rng
 
 
-class _Batch:
-    """A batch as columns. Sentence i's tokens are tokens[indptr[i]:indptr[i + 1]],
-    with vocabulary ids in ids (-1 out of vocabulary). positions are the
-    sentences with in-vocabulary terms (none if the vocabulary has one
-    term); sentence positions[j]'s terms, ascending, and their scores are
-    terms[a:b] and scores[a:b] for a, b = bounds[j], bounds[j + 1].
+class _Pass:
+    """A pass as columns. Row i's tokens are tokens[indptr[i]:indptr[i + 1]],
+    with vocabulary ids in ids (-1 out of vocabulary). rows are the rows
+    with in-vocabulary terms (none if the vocabulary has one term); row
+    rows[j]'s terms, ascending, and their scores are terms[a:b] and
+    scores[a:b] for a, b = bounds[j], bounds[j + 1].
     """
 
-    def __init__(self, tokens: list[str], indptr, ids, positions, bounds, terms, scores):
-        self.tokens, self.indptr, self.ids, self.positions = tokens, indptr, ids, positions
+    def __init__(self, tokens: list[str], indptr, ids, rows, bounds, terms, scores):
+        self.tokens, self.indptr, self.ids, self.rows = tokens, indptr, ids, rows
         self.bounds, self.terms, self.scores = bounds, terms, scores
 
     def scores_of(self, j: int) -> SentenceScores:
-        """The SentenceScores of sentence positions[j]."""
+        """The SentenceScores of row rows[j]."""
         a, b = self.bounds[j], self.bounds[j + 1]
         return SentenceScores._unchecked(self.terms[a:b], self.scores[a:b])
 
 
-def _batch_columns(model: TfIdfModel, documents: Sequence[Document]) -> _Batch:
-    """A batch's columns: one dict lookup per token, one _score_columns call."""
+def _pass_columns(model: TfIdfModel, documents: Sequence[Document]) -> _Pass:
+    """A pass's columns: one dict lookup per token, one _score_columns call."""
     tokens = list(chain.from_iterable(document.tokens for document in documents))
     indptr = np.cumsum([0, *(len(document.tokens) for document in documents)])
     ids = model.vocabulary.ids(tokens)
-    rows, terms, scores = _score_columns(model, indptr, ids)
-    lengths = np.bincount(rows, minlength=len(documents))
-    positions = np.flatnonzero(lengths) if model.m > 1 else np.zeros(0, dtype=np.int64)
-    bounds = np.concatenate(([0], np.cumsum(lengths[positions])))
-    return _Batch(tokens, indptr, ids, positions, bounds, terms, scores)
+    term_rows, terms, scores = _score_columns(model, indptr, ids)
+    lengths = np.bincount(term_rows, minlength=len(documents))
+    rows = np.flatnonzero(lengths) if model.m > 1 else np.zeros(0, dtype=np.int64)
+    bounds = np.concatenate(([0], np.cumsum(lengths[rows])))
+    return _Pass(tokens, indptr, ids, rows, bounds, terms, scores)
 
 
 def _batch_probabilities(z: np.ndarray, lengths: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -483,10 +497,10 @@ def _batch_probabilities(z: np.ndarray, lengths: np.ndarray, beta: float) -> tup
 
 
 def _decision_scan(draws: np.ndarray, probabilities: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The replaced mask over a batch's terms, and the replaced terms' window draws.
+    """The replaced mask over a pass's terms, and the replaced terms' window draws.
 
     Row j of draws holds sentence j's 2n random() draws, zero-padded. The
-    scan steps one term position at a time across the batch, in
+    scan steps one term position at a time across the pass, in
     augment_sentence's order: term t reads draw t plus its sentence's hits
     so far, and a hit's window draw is the next one. Padding positions,
     after each sentence's terms, get probability -1 and never hit.
@@ -504,34 +518,39 @@ def _decision_scan(draws: np.ndarray, probabilities: np.ndarray, lengths: np.nda
         np.less(flat[t:][cursor], padded[t], out=hits[t])
         cursor += hits[t]
     replaced = hits[column, segment]
-    before = np.cumsum(replaced) - replaced  # hits in the batch before each term
+    before = np.cumsum(replaced) - replaced  # hits in the pass before each term
     before -= before[starts][segment]  # ... in its own sentence
     return replaced, flat[(segment * width + column + before + 1)[replaced]]
 
 
-def _rewritten_tokens(model: TfIdfModel, batch: _Batch, replaced_keys: np.ndarray, picks: np.ndarray) -> list[str]:
-    """The batch's tokens with each in-vocabulary token whose key
-    position * m + term is in replaced_keys (ascending, not empty)
-    rewritten to that key's pick, found by one searchsorted. Only the
-    substitutes are gathered from the model's term strings; every other
-    token, out-of-vocabulary ones included, keeps its input string.
+def _rewritten_tokens(model: TfIdfModel, columns: _Pass, replaced_keys: np.ndarray, picks: np.ndarray) -> list[str]:
+    """The pass's tokens with each in-vocabulary token whose key
+    row * m + term is in replaced_keys (ascending, not empty) rewritten
+    to that key's pick, found by one searchsorted. Only the substitutes
+    are gathered from the model's term strings; every other token,
+    out-of-vocabulary ones included, keeps its input string.
     """
-    token_rows = np.repeat(np.arange(batch.indptr.size - 1), np.diff(batch.indptr))
-    known = np.flatnonzero(batch.ids >= 0)
-    keys = token_rows[known] * model.m + batch.ids[known]
+    token_rows = np.repeat(np.arange(columns.indptr.size - 1), np.diff(columns.indptr))
+    known = np.flatnonzero(columns.ids >= 0)
+    keys = token_rows[known] * model.m + columns.ids[known]
     slot = np.minimum(np.searchsorted(replaced_keys, keys), replaced_keys.size - 1)
     rewritten = replaced_keys[slot] == keys
-    tokens = np.array(batch.tokens, dtype=object)
+    tokens = np.array(columns.tokens, dtype=object)
     tokens[known[rewritten]] = model._term_strings[picks[slot[rewritten]]]
     return tokens.tolist()
 
 
 def _augment_guided(
-    model: TfIdfModel, documents: Sequence[Document], batch: _Batch, config: AugmentationConfig, batch_index: int
+    model: TfIdfModel,
+    documents: Sequence[Document],
+    columns: _Pass,
+    config: AugmentationConfig,
+    indices: np.ndarray,
+    positions: np.ndarray,
 ) -> dict[int, AugmentedSentence]:
-    """augment_sentence with tfidf replacement for every sentence of
-    batch.positions, each from its _sentence_rngs stream; the negatives by
-    position.
+    """augment_sentence with tfidf replacement for every row of
+    columns.rows, each from its _sentence_rngs stream at (indices[row],
+    positions[row]); the negatives by row.
 
     Each sentence draws its 2n values into one padded array (random
     selection first draws its forced term with integers(), whose spare
@@ -541,14 +560,14 @@ def _augment_guided(
     from a fresh copy of its stream, whose uniform fallback draws
     integers().
     """
-    positions, bounds, terms = batch.positions, batch.bounds, batch.terms
-    if not positions.size:
+    rows, bounds, terms = columns.rows, columns.bounds, columns.terms
+    if not rows.size:
         return {}
     lengths = np.diff(bounds)
-    draws = np.zeros((positions.size, 2 * int(lengths.max())))
+    draws = np.zeros((rows.size, 2 * int(lengths.max())))
     random_selection = config.selection_mode == MODE_RANDOM
-    forced = np.empty(positions.size, dtype=np.int64)
-    rngs = _sentence_rngs(config.seed, batch_index, positions.tolist())
+    forced = np.empty(rows.size, dtype=np.int64)
+    rngs = _sentence_rngs(config.seed, indices[rows], positions[rows])
     for j, (rng, n) in enumerate(zip(rngs, lengths.tolist())):
         if random_selection:
             forced[j] = rng.integers(n)
@@ -558,34 +577,90 @@ def _augment_guided(
         probabilities = np.full(terms.size, config.beta)
         probabilities[forced] = 1.0
     else:
-        probabilities, forced = _batch_probabilities(batch.scores, lengths, config.beta)
+        probabilities, forced = _batch_probabilities(columns.scores, lengths, config.beta)
     replaced, window_draws = _decision_scan(draws, probabilities, lengths)
 
     picked = np.flatnonzero(replaced)
     picks, zero_mass = _window_picks(model, terms[picked], window_draws, config.radius)
-    sentence = np.repeat(np.arange(positions.size), lengths)[picked]
-    tokens = _rewritten_tokens(model, batch, positions[sentence] * model.m + terms[picked], picks)
+    sentence = np.repeat(np.arange(rows.size), lengths)[picked]
+    tokens = _rewritten_tokens(model, columns, rows[sentence] * model.m + terms[picked], picks)
 
     fallback = set(sentence[zero_mass].tolist())
-    hit_bounds = np.searchsorted(sentence, np.arange(positions.size + 1)).tolist()
-    token_bounds, term_bounds = batch.indptr.tolist(), bounds.tolist()
+    hit_bounds = np.searchsorted(sentence, np.arange(rows.size + 1)).tolist()
+    token_bounds, term_bounds = columns.indptr.tolist(), bounds.tolist()
     negatives = {}
-    for j, (position, first) in enumerate(zip(positions.tolist(), (forced - bounds[:-1]).tolist())):
+    for j, (row, first) in enumerate(zip(rows.tolist(), (forced - bounds[:-1]).tolist())):
         if j in fallback:
             continue
         a, b = term_bounds[j], term_bounds[j + 1]
         plan = ReplacementPlan(
             terms[a:b], probabilities[a:b], first, replaced[a:b], picks[hit_bounds[j] : hit_bounds[j + 1]]
         )
-        document = documents[position]
-        negatives[position] = AugmentedSentence(
-            document.doc_id, tokens[token_bounds[position] : token_bounds[position + 1]], plan
-        )
+        tokens_of_row = tokens[token_bounds[row] : token_bounds[row + 1]]
+        negatives[row] = AugmentedSentence(documents[row].doc_id, tokens_of_row, plan)
     fallback = sorted(fallback)
-    for j, rng in zip(fallback, _sentence_rngs(config.seed, batch_index, positions[fallback].tolist())):
-        position = int(positions[j])
-        negatives[position] = augment_sentence(model, documents[position], batch.scores_of(j), config, rng)
+    redo = rows[fallback]
+    for j, row, rng in zip(fallback, redo.tolist(), _sentence_rngs(config.seed, indices[redo], positions[redo])):
+        negatives[row] = augment_sentence(model, documents[row], columns.scores_of(j), config, rng)
     return negatives
+
+
+def _augment_pass(
+    model: TfIdfModel, indices: list[int], positions: list[int], documents: list[Document], config: AugmentationConfig
+) -> list[AugmentedSentence]:
+    """The negative of each row of a pass, in row order: row i is
+    documents[i], at position positions[i] of batch indices[i]. Rows with
+    no in-vocabulary terms, and every row when the vocabulary has a single
+    term, come back unaugmentable without drawing; the others draw from
+    their _sentence_rngs streams, through _augment_guided or, with random
+    replacement, one augment_sentence call each.
+    """
+    columns = _pass_columns(model, documents)
+    indices, positions = np.array(indices), np.array(positions)
+    if config.replacement_mode == MODE_TFIDF:
+        negatives = _augment_guided(model, documents, columns, config, indices, positions)
+    else:
+        rows = columns.rows
+        rngs = _sentence_rngs(config.seed, indices[rows], positions[rows])
+        negatives = {
+            row: augment_sentence(model, documents[row], columns.scores_of(j), config, rng)
+            for j, (row, rng) in enumerate(zip(rows.tolist(), rngs))
+        }
+    return [negatives[row] if row in negatives else _unaugmentable(document) for row, document in enumerate(documents)]
+
+
+def _pass_negatives(
+    model: TfIdfModel, batches: Iterable[tuple[int, Sequence[Document]]], config: AugmentationConfig
+) -> Iterator[list[AugmentedSentence]]:
+    """The negatives of the sentences of the (batch index, documents)
+    pairs, in input order, one list per pass.
+
+    A pass takes sentences in order while its rows times 2 * (most tokens
+    in one of its rows, at least 1) stay within _PASS_CELLS. A row has no
+    more distinct terms than tokens, so that bounds the cells of the
+    pass's padded draw array, its widest column; a sentence over the
+    budget goes alone.
+    """
+    indices, positions, documents, widest = [], [], [], 1
+    for batch_index, batch in batches:
+        width = max(widest, *(len(document.tokens) for document in batch))
+        if 2 * width * (len(documents) + len(batch)) <= _PASS_CELLS:  # the whole batch fits, so each prefix does
+            indices += [batch_index] * len(batch)
+            positions += range(len(batch))
+            documents += batch
+            widest = width
+            continue
+        for position, document in enumerate(batch):
+            width = max(widest, len(document.tokens))
+            if documents and 2 * width * (len(documents) + 1) > _PASS_CELLS:
+                yield _augment_pass(model, indices, positions, documents, config)
+                indices, positions, documents, width = [], [], [], max(1, len(document.tokens))
+            indices.append(batch_index)
+            positions.append(position)
+            documents.append(document)
+            widest = width
+    if documents:
+        yield _augment_pass(model, indices, positions, documents, config)
 
 
 def augment_batch(
@@ -593,20 +668,21 @@ def augment_batch(
     documents: Sequence[Document],
     config: AugmentationConfig,
     batch_index: int,
+    *,
+    _sentences: Iterator[AugmentedSentence] | None = None,
 ) -> NegativeBatch | None:
     """Augment one training batch if it falls on the injection schedule.
 
     Batches are numbered from 1; negatives are produced for batch indices
     that are multiples of alpha and the result has exactly one augmented
-    sentence per input document. Off-schedule batches yield None.
+    sentence per input document. Off-schedule batches yield None. The
+    output equals augment_sentence with each sentence's sentence_rng.
 
-    The batch is built once as columns (_batch_columns). Sentences with
-    no in-vocabulary terms, and every sentence when the vocabulary has a single term, come
-    back unaugmentable without drawing. The others draw from their
-    _sentence_rngs streams: with tfidf replacement the whole batch at once
-    through _augment_guided, with random replacement one augment_sentence
-    call each. Either way the output equals augment_sentence with each
-    sentence's sentence_rng.
+    The batch is augmented in passes (_pass_negatives): one, unless a
+    long line splits it. iter_negative_batches hands in _sentences, the
+    negatives of its passes in input order, and each batch takes its own
+    from them, so that every batch it yields is still returned by a call
+    of this function.
     """
     if not documents:
         raise ValueError("batch must be non-empty")
@@ -614,21 +690,9 @@ def augment_batch(
         raise ValueError(f"batch_index is 1-based, got {batch_index}")
     if batch_index % config.alpha != 0:
         return None
-
-    batch = _batch_columns(model, documents)
-    if config.replacement_mode == MODE_TFIDF:
-        negatives = _augment_guided(model, documents, batch, config, batch_index)
-    else:
-        positions = batch.positions.tolist()
-        negatives = {
-            position: augment_sentence(model, documents[position], batch.scores_of(j), config, rng)
-            for j, (position, rng) in enumerate(zip(positions, _sentence_rngs(config.seed, batch_index, positions)))
-        }
-    sentences = [
-        negatives[position] if position in negatives else _unaugmentable(document)
-        for position, document in enumerate(documents)
-    ]
-    return NegativeBatch(batch_index, sentences)
+    if _sentences is None:
+        _sentences = chain.from_iterable(_pass_negatives(model, [(batch_index, documents)], config))
+    return NegativeBatch(batch_index, list(islice(_sentences, len(documents))))
 
 
 def iter_negative_batches(
@@ -637,15 +701,17 @@ def iter_negative_batches(
     config: AugmentationConfig,
     batch_size: int,
 ) -> Iterator[NegativeBatch]:
-    """Partition documents into batches and yield negatives on schedule."""
+    """Partition documents into batches and yield negatives on schedule.
+
+    The on-schedule batches are augmented in passes that may split and
+    span them (_pass_negatives), reading at most a pass ahead.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     documents = iter(documents)
-    for batch_index in count(1):
-        # islice takes at most sys.maxsize items, more than any batch holds.
-        batch = list(islice(documents, min(batch_size, sys.maxsize)))
-        if not batch:
-            return
-        negatives = augment_batch(model, batch, config, batch_index)
-        if negatives is not None:
-            yield negatives
+    # islice takes at most sys.maxsize items, more than any batch holds.
+    batches = iter(lambda: list(islice(documents, min(batch_size, sys.maxsize))), [])
+    scheduled, ahead = tee((index, batch) for index, batch in enumerate(batches, 1) if index % config.alpha == 0)
+    sentences = chain.from_iterable(_pass_negatives(model, ahead, config))
+    for batch_index, batch in scheduled:
+        yield augment_batch(model, batch, config, batch_index, _sentences=sentences)

@@ -1,6 +1,9 @@
 """Replacement probabilities, candidate windows, sampling, and scheduling."""
 
 import io
+import tracemalloc
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +61,13 @@ class TestConfig:
             {"radius": 0},
             {"alpha": 0},
             {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"radius": 2.5},
+            {"radius": True},
+            {"alpha": 2.5},
+            {"alpha": False},
+            {"alpha": "5"},
             {"selection_mode": "other"},
             {"replacement_mode": "other"},
         ],
@@ -65,6 +75,10 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             AugmentationConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = AugmentationConfig(radius=np.int64(3), alpha=np.uint8(2), seed=np.uint64(2**64 - 1))
+        assert (config.radius, config.alpha, config.seed) == (3, 2, 2**64 - 1)
 
 
 class TestReplacementProbabilities:
@@ -642,6 +656,8 @@ class TestBatchStreams:
 
 # Positions whose 32-bit word counts differ: one, one, two and three words.
 _EDGE_POSITIONS = [0, 2**32 - 1, 2**32, 2**64 + 3]
+# Batch indices of one, one, two and three words.
+_EDGE_BATCH_INDICES = [1, 2**32 - 1, 2**32, 2**70]
 
 
 def reference_keys(seed, batch_index, positions):
@@ -670,6 +686,19 @@ class TestPhiloxKeys:
         # Seeds of five words and more mix their extra words in after the pool.
         positions = list(range(64)) + _EDGE_POSITIONS
         assert _philox_keys(seed, 3, positions).tolist() == reference_keys(seed, 3, positions)
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**64 - 1, 2**128 + 1, 2**200 + 7])
+    def test_rows_of_mixed_batch_indices(self, seed):
+        # One- to three-word batch indices in one call: each row's position
+        # words follow its own batch-index words.
+        rows = [(batch_index, position) for batch_index in _EDGE_BATCH_INDICES for position in _EDGE_POSITIONS]
+        rows += list(zip(np.resize(_EDGE_BATCH_INDICES, 64).tolist(), range(64)))
+        batch_indices, positions = zip(*rows)
+        keys = _philox_keys(seed, np.array(batch_indices, dtype=object), list(positions))
+        assert keys.tolist() == [reference_keys(seed, b, [p])[0] for b, p in rows]
+        assert _philox_keys(seed, [2**32 - 1, 2**32], [0, 0]).tolist() == [
+            reference_keys(seed, 2**32 - 1, [0])[0], reference_keys(seed, 2**32, [0])[0]
+        ]
 
     @pytest.mark.parametrize("seed, batch_index", [(-1, 1), (1, -1)])
     def test_negative_coordinates_rejected(self, seed, batch_index):
@@ -936,3 +965,105 @@ def zero_mass_case():
 def test_batch_path_matches_per_sentence_oracle(case):
     model, documents, config, batch_index = case
     assert_matches_oracle(model, documents, config, batch_index)
+
+
+@st.composite
+def pass_runs(draw):
+    """A model with zero-score terms, up to 300 sentences of mixed kinds
+    cut into batches of 1 to 70 with alpha 1 to 4, numbered from 1 or from
+    just below 2**32, and a pass budget of a few cells, so that passes
+    split batches and span several."""
+    model = draw(guided_models())
+    terms = model.vocabulary.terms
+    flat = [term for term, idf in zip(terms, model.idf.tolist()) if idf == 0] or terms
+    batch_size, alpha = draw(st.integers(1, 70)), draw(st.integers(1, 4))
+    n_batches = draw(st.integers(1, 2 * alpha + 2))
+    n_documents = min(300, (n_batches - 1) * batch_size + draw(st.integers(1, batch_size)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    documents = []
+    for i in range(n_documents):
+        kind = rng.integers(5)
+        if kind == 0:
+            tokens = rng.choice(["oov1", "oov2"], size=rng.integers(3)).tolist()
+        elif kind == 1:
+            tokens = [terms[rng.integers(len(terms))]]
+        elif kind == 2:
+            tokens = rng.choice(flat, size=rng.integers(1, 7)).tolist()
+        elif kind == 3:  # many distinct terms
+            tokens = rng.permutation(terms)[: rng.integers(1, 41)].tolist()
+        else:
+            tokens = rng.choice(terms + ["oov1"], size=rng.integers(31)).tolist()
+        documents.append(Document(i, tokens))
+    config = AugmentationConfig(
+        beta=draw(st.sampled_from([5e-324, 0.5, 1.0])),
+        radius=draw(st.integers(1, model.m + 5)),
+        alpha=alpha,
+        seed=draw(st.sampled_from([0, 7, 2**64 - 1])),
+        selection_mode=draw(st.sampled_from(["tfidf", "random"])),
+        replacement_mode=draw(st.sampled_from(["tfidf", "tfidf", "random"])),
+    )
+    first = draw(st.sampled_from([1, 2**32 - alpha - 1]))  # from 2**32 - alpha - 1, alpha + 2 batches cross 2**32
+    cells = draw(st.one_of(st.integers(1, 120), st.just(2**16)))
+    return model, documents, config, batch_size, first, cells
+
+
+def crossing_case():
+    """Batches of three from just below 2**32 in passes of about five
+    sentences, with zero-mass fallbacks: a pass holds rows of one- and
+    two-word batch indices."""
+    model = zero_score_model(4, [[f"w{k}" for k in range(j, j + 5)] for j in range(0, 30, 3)])
+    rows = [["c0", "c1"], ["w1", "w7", "oov"], ["c3"], ["w20", "c2", "w20"], [], ["w3"], ["c1", "w11"]] * 2
+    documents = [Document(i, tokens) for i, tokens in enumerate(rows)]
+    return model, documents, AugmentationConfig(radius=1, alpha=1, seed=5), 3, 2**32 - 2, 30
+
+
+@settings(max_examples=200, deadline=None)
+@given(pass_runs())
+@example(crossing_case())
+def test_passes_match_per_sentence_oracle(run):
+    model, documents, config, batch_size, first, cells = run
+    starts = range(0, len(documents), batch_size)
+    batches = [(first + k, documents[start : start + batch_size]) for k, start in enumerate(starts)]
+    scheduled = [(index, batch) for index, batch in batches if index % config.alpha == 0]
+    with mock.patch.object(augment, "_PASS_CELLS", cells):
+        if first == 1:
+            got = list(iter_negative_batches(model, documents, config, batch_size))
+        else:  # iter_negative_batches numbered from first
+            sentences = chain.from_iterable(augment._pass_negatives(model, scheduled, config))
+            got = [augment_batch(model, batch, config, index, _sentences=sentences) for index, batch in scheduled]
+    assert [negatives.batch_index for negatives in got] == [index for index, _ in scheduled]
+    for negatives, (index, batch) in zip(got, scheduled):
+        expected = oracle_batch(model, batch, config, index)
+        assert len(negatives.sentences) == len(expected)
+        for sentence, want in zip(negatives.sentences, expected):
+            assert (sentence.source_id, sentence.tokens, sentence.unaugmentable) == (
+                want.source_id, want.tokens, want.unaugmentable
+            )
+            assert (sentence.plan is None) == (want.plan is None)
+            if want.plan is not None:
+                for column in ("term_ids", "probabilities", "replaced", "replacement_ids"):
+                    assert getattr(sentence.plan, column).tobytes() == getattr(want.plan, column).tobytes(), column
+                assert sentence.plan.forced == want.plan.forced
+
+
+def test_long_line_costs_about_its_own_columns():
+    # One line of 10,000 distinct terms among 63 short ones: padding every
+    # row to the long line's width would cost 64 times its draw array.
+    rng = np.random.default_rng(0)
+    model = synthetic_model(rng.random(20_000) * 3 + 0.1, rng.random(20_000) + 0.5)
+    terms = model.vocabulary.terms
+    long_line = Document(0, [terms[k] for k in rng.permutation(model.m)[:10_000]])
+    short = [Document(i, [terms[k] for k in rng.integers(0, model.m, 13)]) for i in range(1, 64)]
+    config = AugmentationConfig(radius=4000, alpha=1, seed=1)
+
+    def peak(documents):
+        tracemalloc.start()
+        try:
+            augment_batch(model, documents, config, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak([long_line])
+    for at in (0, 31, 63):
+        assert peak(short[:at] + [long_line] + short[at:]) < 2 * alone
