@@ -46,9 +46,16 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   1-3, then `una eval` on that seed's dev pairs with the model fitted on
   it, at --dim 1, 7, 256 and 4096 and --encoder-seed 0 and 2**64 - 1,
   which writes only to standard output;
+- the runs above with their settings read from a config file written by
+  this script: `una augment` on the augment-guided input of seed 1 with
+  the benchmark's flags and seed 1 from the file alone, and with the file
+  plus --alpha 3 on the command line, which overrides the file's alpha 1;
+  `una loss-demo` on the sample corpus and pairs with dim 7 and seed
+  2**64 - 1 from the file; `una eval` on the train-eval input of seed 1
+  with dim 7 and encoder seed 2**64 - 1 from the file;
 - the standard output of every run.
 
-That is 334 files per side. The script prints how many are identical,
+That is 340 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -93,6 +100,16 @@ BENCH_AUGMENT_FLAGS = [
     "--alpha", "1", "--batch-size", "64", "--radius", "4000", "--beta", "0.5",
     "--selection-mode", "tfidf", "--replacement-mode", "tfidf",
 ]
+# Config files, by name: BENCH_AUGMENT_FLAGS and seed 1 as key=value lines,
+# and the encoder settings of loss-demo and eval.
+CONFIG_FILES = {
+    "augment.conf": [
+        *(f"{flag[2:]}={value}" for flag, value in zip(BENCH_AUGMENT_FLAGS[::2], BENCH_AUGMENT_FLAGS[1::2])),
+        "seed=1",
+    ],
+    "loss-demo.conf": ["dim=7", f"seed={2**64 - 1}"],
+    "eval.conf": ["dim=7", f"encoder-seed={2**64 - 1}"],
+}
 
 
 def write_zero_score_corpus(path: Path) -> None:
@@ -140,11 +157,13 @@ def write_punctuated_corpus(path: Path) -> None:
 
 
 def make_inputs(work: Path) -> None:
-    """Write the punctuated and zero-score corpora and the bench/gen.py
-    inputs of every workload for every seed."""
+    """Write the punctuated and zero-score corpora, the config files and
+    the bench/gen.py inputs of every workload for every seed."""
     work.mkdir(parents=True)
     write_punctuated_corpus(work / "punctuated_corpus.txt")
     write_zero_score_corpus(work / "zero_score_corpus.txt")
+    for name, lines in CONFIG_FILES.items():
+        (work / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     for workload in ("fit-corpus", "augment-guided", "train-eval"):
         for seed in GEN_SEEDS:
             out = work / f"{workload}-{seed}"
@@ -225,6 +244,17 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
                 evaluate = ["eval", "--pairs", str(train_eval / "dev_pairs.tsv"), "--model", str(out / model)]
                 flags = ["--dim", str(dim), "--encoder-seed", str(encoder_seed)]
                 matrix.append((f"eval-train-{seed}-d{dim}-e{encoder_seed}", [*evaluate, *flags]))
+    source = inputs / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
+    for label, flags in (("config", []), ("config-a3", ["--alpha", "3"])):
+        name = f"augment-guided-{GEN_SEEDS[0]}-{label}"
+        augment_args = ["augment", "--model", str(out / f"fit-model-{GEN_SEEDS[0]}"), "--input", str(source),
+                        "--output", str(out / name), "--config", str(inputs / "augment.conf"), *flags]
+        matrix.append((name, augment_args))
+    demo = ["loss-demo", "--corpus", str(SAMPLE_CORPUS), "--pairs", str(SAMPLE_PAIRS)]
+    matrix.append(("loss-demo-config", [*demo, "--config", str(inputs / "loss-demo.conf")]))
+    evaluate = ["eval", "--pairs", str(inputs / f"train-eval-{GEN_SEEDS[0]}" / "dev_pairs.tsv"),
+                "--model", str(out / f"fit-train-model-{GEN_SEEDS[0]}")]
+    matrix.append((f"eval-train-{GEN_SEEDS[0]}-config", [*evaluate, "--config", str(inputs / "eval.conf")]))
     return matrix
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -176,8 +175,7 @@ class ToyEncoder:
     ascending string order of the terms, so a sentence's rows, sorted, are
     summed in term order from 0.0: the embedding is bit-identical under any
     permutation of the input tokens. Terms added to the vocabulary later
-    get rows on the next encode, which hashes only those terms and moves
-    the seeds and filled rows of the others.
+    get rows on the next encode, which indexes the whole vocabulary again.
     """
 
     def __init__(self, vocabulary: Vocabulary, dim: int = 256, seed: int = 0):
@@ -195,30 +193,18 @@ class ToyEncoder:
         self._seeds = np.empty((0, 4), dtype=np.uint64)  # row -> PCG64 seed
 
     def _index_vocabulary(self) -> None:
-        """Give every vocabulary term its row and its PCG64 seed, and move
-        the seeds and filled rows of terms already indexed there; only the
-        terms added since are hashed."""
+        """Give every vocabulary term its row and its PCG64 seed, and empty
+        the table: each row is drawn again the next time its term is seen."""
         from numpy.random.bit_generator import ISeedSequence
 
         ISeedSequence.register(_SeedState)
         terms = sorted(self.vocabulary)
-        rows = {term: row for row, term in enumerate(terms)}
-        moved = np.array([rows[term] for term in self._terms], dtype=np.intp)  # old row -> new row
-        added = np.ones(len(terms), dtype=bool)
-        added[moved] = False
-        digests = b"".join(
-            hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest() for term in compress(terms, added.tolist())
-        )
-        seeds = np.empty((len(terms), 4), dtype=np.uint64)
-        seeds[moved] = self._seeds
-        seeds[added] = entropy_states(self.seed, np.frombuffer(digests, dtype=">u8"), 4)
-        table = np.empty((len(terms), self.dim))
-        filled = bytearray(len(terms))
-        for old_row, row in enumerate(moved.tolist()):
-            if self._filled[old_row]:
-                table[row] = self._table[old_row]
-                filled[row] = 1
-        self._terms, self._rows, self._table, self._filled, self._seeds = terms, rows, table, filled, seeds
+        digests = b"".join(hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest() for term in terms)
+        self._terms = terms
+        self._rows = {term: row for row, term in enumerate(terms)}
+        self._seeds = entropy_states(self.seed, np.frombuffer(digests, dtype=">u8"), 4)
+        self._table = np.empty((len(terms), self.dim))
+        self._filled = bytearray(len(terms))
 
     def _fallback(self) -> np.ndarray:
         vector = np.zeros(self.dim)

@@ -1,6 +1,10 @@
 """End-to-end behavior of the command-line interface."""
 
+import argparse
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +14,10 @@ from una import cli
 from una.cli import MAX_DIM, main
 from una.corpus import load_corpus
 from una.tfidf import fit, load_model
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SAMPLE_CORPUS = DATA_DIR / "sample_corpus.txt"
+SAMPLE_PAIRS = DATA_DIR / "sample_pairs.tsv"
 
 
 @pytest.fixture
@@ -227,6 +235,23 @@ class TestAugment:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line_number}: bad ")
         assert "Traceback" not in err
+
+    def test_blank_lines_reported_on_stderr(self, tmp_path, model_file):
+        # The real process, so that the warning reaches standard error as
+        # it does outside a test run; una fit reports the same line.
+        source = tmp_path / "input.txt"
+        source.write_text("a b\n\na c\n\n", encoding="utf-8")
+        runs = [
+            ["fit", "--corpus", str(source), "--output", str(tmp_path / "m")],
+            ["augment", "--model", str(model_file), "--input", str(source), "--output", str(tmp_path / "o.tsv")],
+        ]
+        results = [
+            subprocess.run([sys.executable, "-m", "una.cli", *argv], capture_output=True, text=True) for argv in runs
+        ]
+        assert [result.returncode for result in results] == [0, 0]
+        assert results[0].stderr == "skipped 2 blank line(s)\n"
+        assert results[1].stderr == results[0].stderr
+        assert results[1].stdout == "batches=0 negatives=0 unaugmentable=0\n"
 
     def test_random_modes_accepted(self, tmp_path, model_file):
         source = self.make_input(tmp_path, 6)
@@ -452,6 +477,20 @@ class TestConfigFile:
         assert rc == 2
         assert f"una.conf:2: unknown key {key!r}" in capsys.readouterr().err
 
+    def test_repeated_key_exits_2(self, tmp_path, model_file, capsys):
+        source = tmp_path / "input.txt"
+        write_lines(source, ["a b"])
+        config = tmp_path / "una.conf"
+        config.write_text("seed=1\n# a comment\nalpha=1\nseed=2\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        rc = main(
+            ["augment", "--model", str(model_file), "--input", str(source),
+             "--output", str(out), "--config", str(config)]
+        )
+        assert rc == 2
+        assert f"{config}:4: key 'seed' given twice (first on line 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_switch_is_not_a_config_key(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         write_lines(corpus, ["a b c", "b c d"])
@@ -462,6 +501,62 @@ class TestConfigFile:
         rc = main(["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs), "--config", str(config)])
         assert rc == 2
         assert "unknown key 'with-una'" in capsys.readouterr().err
+
+
+def _subparsers():
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# Two valid values of every config key that give different outputs.
+_KEY_VALUES = {
+    "beta": ("0.9", "0.2"), "radius": ("3", "40"), "alpha": ("2", "3"), "seed": ("3", "4"),
+    "batch_size": ("10", "12"), "selection_mode": ("random", "tfidf"), "replacement_mode": ("random", "tfidf"),
+    "tau": ("0.5", "0.2"), "dim": ("7", "9"), "encoder_seed": ("5", "6"),
+}
+
+
+class TestConfigPrecedence:
+    """For every config key of every subcommand: key=v in a config file
+    acts as --key v does, and a flag beats a conflicting config entry."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("precedence")
+        assert main(["fit", "--corpus", str(SAMPLE_CORPUS), "--output", str(work / "model.txt")]) == 0
+        pairs = SAMPLE_PAIRS.read_text(encoding="utf-8").splitlines()
+        write_lines(work / "gold.tsv", [f"{pair}\t{k % 7}" for k, pair in enumerate(pairs)])
+        return work
+
+    @staticmethod
+    def run(command, files, tmp_path, capsys, flags=(), config=None):
+        out = tmp_path / "out.tsv"
+        out.unlink(missing_ok=True)
+        argv = {
+            "augment": ["augment", "--model", str(files / "model.txt"), "--input", str(SAMPLE_CORPUS),
+                        "--output", str(out)],
+            "eval": ["eval", "--pairs", str(files / "gold.tsv"), "--model", str(files / "model.txt")],
+            "loss-demo": ["loss-demo", "--corpus", str(SAMPLE_CORPUS), "--pairs", str(SAMPLE_PAIRS)],
+        }[command]
+        if config is not None:
+            (tmp_path / "una.conf").write_text(config, encoding="utf-8")
+            argv += ["--config", str(tmp_path / "una.conf")]
+        code = main([*argv, *flags])
+        return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command, subparser in _subparsers().items() for key in sorted(cli._config_keys(subparser))],
+    )
+    def test_config_entry_acts_as_flag(self, files, tmp_path, capsys, command, key):
+        flag, (value, other) = "--" + key.replace("_", "-"), _KEY_VALUES[key]
+        from_flag = self.run(command, files, tmp_path, capsys, flags=[flag, value])
+        from_config = self.run(command, files, tmp_path, capsys, config=f"{key.replace('_', '-')}={value}\n")
+        other_flag = self.run(command, files, tmp_path, capsys, flags=[flag, other])
+        overridden = self.run(command, files, tmp_path, capsys, flags=[flag, other], config=f"{key}={value}\n")
+        assert from_flag[0] == 0 and other_flag != from_flag
+        assert from_config == from_flag
+        assert overridden == other_flag
 
 
 class TestDimCap:

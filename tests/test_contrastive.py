@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from helpers import reference_encode, reference_term_vector
-from una import contrastive
 from una.contrastive import (
     GATHER_ROWS,
     ContrastiveConfig,
@@ -341,34 +340,6 @@ class TestEncodeMatchesReference:
             np.testing.assert_array_equal(
                 encoder.encode(tokens), ToyEncoder(vocabulary, dim=9, seed=4).encode(tokens)
             )
-
-    def test_growing_vocabulary_hashes_only_added_terms(self, monkeypatch):
-        # Seeds and filled rows of indexed terms move to their new rows;
-        # only the added terms go through the hash, and every row equals a
-        # fresh encoder's.
-        hashed = []
-        entropy_states = contrastive.entropy_states
-
-        def recording_entropy_states(seed, values, count):
-            hashed.append(len(values))
-            return entropy_states(seed, values, count)
-
-        monkeypatch.setattr(contrastive, "entropy_states", recording_entropy_states)
-        vocabulary = Vocabulary(["m", "p", "t"])
-        encoder = ToyEncoder(vocabulary, dim=5, seed=2**64 - 1)
-        encoder.encode(["p", "oov"])
-        for added in (["zz", "a"], ["n"], ["b", "mm", "q", "zzz"]):
-            for term in added:
-                vocabulary.add(term)
-            encoder.encode(["m", "n", "a", "oov"])
-            fresh = ToyEncoder(vocabulary, dim=5, seed=2**64 - 1)
-            fresh.encode(vocabulary.terms)
-            assert encoder._terms == fresh._terms
-            assert encoder._seeds.tobytes() == fresh._seeds.tobytes()
-            for term, row in encoder._rows.items():
-                if encoder._filled[row]:
-                    assert encoder._table[row].tobytes() == fresh._table[row].tobytes(), term
-        assert hashed == [3, 2, 5, 1, 6, 4, 10]  # each fresh encoder hashes the whole vocabulary
 
     def test_token_list_longer_than_one_gather(self):
         terms = [f"t{k:05d}" for k in range(2 * GATHER_ROWS + 5)]
