@@ -53,9 +53,14 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   `una loss-demo` on the sample corpus and pairs with dim 7 and seed
   2**64 - 1 from the file; `una eval` on the train-eval input of seed 1
   with dim 7 and encoder seed 2**64 - 1 from the file;
+- `una augment` on the augment-guided input of seed 1 with the
+  benchmark's flags, written over an existing output file, and written
+  over a copy of its own input (--output equal to --input); and on that
+  input with an invalid UTF-8 last line, written over an existing output
+  file, which exits 1 and must leave the file as it was;
 - the standard output of every run.
 
-That is 340 files per side. The script prints how many are identical,
+That is 346 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -64,6 +69,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -157,8 +163,9 @@ def write_punctuated_corpus(path: Path) -> None:
 
 
 def make_inputs(work: Path) -> None:
-    """Write the punctuated and zero-score corpora, the config files and
-    the bench/gen.py inputs of every workload for every seed."""
+    """Write the punctuated and zero-score corpora, the config files, the
+    bench/gen.py inputs of every workload for every seed, and the
+    augment-guided input of seed 1 with an invalid UTF-8 last line."""
     work.mkdir(parents=True)
     write_punctuated_corpus(work / "punctuated_corpus.txt")
     write_zero_score_corpus(work / "zero_score_corpus.txt")
@@ -172,6 +179,8 @@ def make_inputs(work: Path) -> None:
                  "--seed", str(seed), "--out", str(out)],
                 check=True,
             )
+    source = work / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
+    (work / "bad_last_line.txt").write_bytes(source.read_bytes() + b"caf\xc3 au lait\n")
 
 
 def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
@@ -258,14 +267,36 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     return matrix
 
 
+def existing_output_runs(inputs: Path, out: Path) -> list[tuple[str, list[str], Path, int]]:
+    """(name, una arguments, file copied to out / name before the run,
+    exit code) of the augment runs whose output file exists when they
+    start."""
+    model = out / f"fit-model-{GEN_SEEDS[0]}"
+    source = inputs / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
+
+    def augment(name: str, input_path: Path) -> list[str]:
+        return ["augment", "--model", str(model), "--input", str(input_path), "--output", str(out / name),
+                "--seed", str(GEN_SEEDS[0]), *BENCH_AUGMENT_FLAGS]
+
+    return [
+        ("augment-over-existing", augment("augment-over-existing", source), SAMPLE_CORPUS, 0),
+        ("augment-over-input", augment("augment-over-input", out / "augment-over-input"), source, 0),
+        ("augment-bad-last-line", augment("augment-bad-last-line", inputs / "bad_last_line.txt"), SAMPLE_CORPUS, 1),
+    ]
+
+
 def run_checkout(checkout: Path, inputs: Path, out: Path) -> None:
     """Run the matrix with one checkout's una; keep each run's stdout."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    for name, args in runs(inputs, out):
+    matrix = [(name, args, None, 0) for name, args in runs(inputs, out)] + existing_output_runs(inputs, out)
+    for name, args, existing, code in matrix:
+        if existing is not None:
+            shutil.copyfile(existing, out / name)
         result = subprocess.run([sys.executable, "-m", "una.cli", *args], env=env, capture_output=True)
-        if result.returncode != 0:
-            sys.exit(f"{checkout}: una {' '.join(args)} exited {result.returncode}:\n{result.stderr.decode()}")
+        if result.returncode != code:
+            sys.exit(f"{checkout}: una {' '.join(args)} exited {result.returncode}, not {code}:\n"
+                     f"{result.stderr.decode()}")
         (out / f"{name}.stdout").write_bytes(result.stdout)
 
 

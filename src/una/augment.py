@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, compress, islice, tee
+from collections import deque
+from itertools import chain, compress, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -640,6 +641,11 @@ def _pass_negatives(
     more distinct terms than tokens, so that bounds the cells of the
     pass's padded draw array, its widest column; a sentence over the
     budget goes alone.
+
+    Pairs are read one at a time, as the pass being filled takes them: a
+    pass is yielded when the sentence after it would break its budget, so
+    the look-ahead is the pair holding that sentence. While a pass is
+    handed out, its documents and that pair's are held, no others.
     """
     indices, positions, documents, widest = [], [], [], 1
     for batch_index, batch in batches:
@@ -704,14 +710,28 @@ def iter_negative_batches(
     """Partition documents into batches and yield negatives on schedule.
 
     The on-schedule batches are augmented in passes that may split and
-    span them (_pass_negatives), reading at most a pass ahead.
+    span them (_pass_negatives), and documents are read only as the passes
+    need them. The look-ahead is the deque of scheduled batches that
+    _pass_negatives has read and whose batch is not yet yielded: the
+    batches of the pass being handed out and the one that closed it. So
+    about a pass and a batch of documents are held at once, however long
+    the input; off-schedule batches are dropped as they are read.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     documents = iter(documents)
     # islice takes at most sys.maxsize items, more than any batch holds.
     batches = iter(lambda: list(islice(documents, min(batch_size, sys.maxsize))), [])
-    scheduled, ahead = tee((index, batch) for index, batch in enumerate(batches, 1) if index % config.alpha == 0)
-    sentences = chain.from_iterable(_pass_negatives(model, ahead, config))
-    for batch_index, batch in scheduled:
-        yield augment_batch(model, batch, config, batch_index, _sentences=sentences)
+    ahead: deque[tuple[int, list[Document]]] = deque()
+
+    def scheduled() -> Iterator[tuple[int, list[Document]]]:
+        for index, batch in enumerate(batches, 1):
+            if index % config.alpha == 0:
+                ahead.append((index, batch))
+                yield index, batch
+
+    sentences = chain.from_iterable(_pass_negatives(model, scheduled(), config))
+    # A batch's first negative comes only after _pass_negatives has read it.
+    for first in sentences:
+        batch_index, batch = ahead.popleft()
+        yield augment_batch(model, batch, config, batch_index, _sentences=chain((first,), sentences))

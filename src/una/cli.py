@@ -14,8 +14,12 @@ override config values, which override the defaults that
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import logging
 import math
+import os
+import stat
 import sys
 
 from .augment import MODE_RANDOM, MODE_TFIDF, AugmentationConfig, augment_batch, iter_negative_batches
@@ -26,7 +30,7 @@ from .contrastive import (
     batch_loss,
     load_pairs,
 )
-from .corpus import CorpusDecodeError, Document, load_corpus, read_nonblank_lines, tokenize
+from .corpus import CorpusDecodeError, Document, _iter_raw_lines, load_corpus, tokenize
 from .evaluation import EvalDataError, evaluate_pairs, load_scored_pairs
 from .tfidf import ModelFormatError, fit, load_model, save_model
 
@@ -110,6 +114,47 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path: str):
+    """A text stream (UTF-8, LF) onto a new file that replaces path when
+    the block completes, and is removed if anything is raised in it.
+
+    The file is made beside path's target, so that a symlinked path is
+    written through to it and os.replace can rename the file onto it; a
+    failure leaves path as it was. It is created as open() creates a file,
+    with mode 0o666 less the umask, and then given path's permission bits
+    if path exists. Errors are reported with path's name, as
+    open(path, "w") reports them. An existing path that is not a regular
+    file, such as a pipe, a device or a directory, is opened as
+    open(path, "w") opens it.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            yield out
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    for attempt in itertools.count():
+        temporary = os.path.join(directory, f".{name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(descriptor, "w", encoding="utf-8", newline="\n") as out:
+            if os.path.exists(target):
+                os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
+            yield out
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def cmd_augment(args) -> int:
     try:
         config = AugmentationConfig(beta=args.beta, radius=args.radius, alpha=args.alpha, seed=args.seed,
@@ -118,16 +163,23 @@ def cmd_augment(args) -> int:
         raise FlagError(str(exc)) from None
 
     model = load_model(args.model)
-    lines, blanks = read_nonblank_lines(args.input)
-    if blanks:
-        logger.warning("skipped %d blank line(s)", blanks)
-    documents = [Document.from_text(number, text) for number, text in lines]
+    blanks = 0
+
+    def documents(source):
+        nonlocal blanks
+        for number, text in _iter_raw_lines(source):
+            if text:
+                yield Document.from_text(number, text)
+            else:
+                blanks += 1
 
     emitted_batches = 0
     negatives = 0
     unaugmentable = 0
-    with open(args.output, "w", encoding="utf-8", newline="\n") as out:
-        for batch in iter_negative_batches(model, documents, config, args.batch_size):
+    # The input is streamed, so the output is written aside and only
+    # replaces --output once every line has been read and augmented.
+    with open(args.input, "rb") as source, _replaced_on_success(args.output) as out:
+        for batch in iter_negative_batches(model, documents(source), config, args.batch_size):
             emitted_batches += 1
             for sentence in batch.sentences:
                 negatives += 1
@@ -141,6 +193,8 @@ def cmd_augment(args) -> int:
                     fields.append(UNAUGMENTABLE_MARKER)
                 out.write("\t".join(fields) + "\n")
 
+    if blanks:
+        logger.warning("skipped %d blank line(s)", blanks)
     print(f"batches={emitted_batches} negatives={negatives} unaugmentable={unaugmentable}")
     return 0
 

@@ -11,6 +11,7 @@ without one.
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -19,6 +20,8 @@ import numpy as np
 
 from ._seedseq import entropy_states
 from .corpus import Vocabulary, read_nonblank_lines, tokenize
+
+logger = logging.getLogger(__name__)
 
 
 class PairsFormatError(ValueError):
@@ -272,10 +275,13 @@ class PositivePairSet:
 def load_pairs(source) -> PositivePairSet:
     """Read anchor<TAB>positive lines.
 
-    Blank lines are skipped. Lines with the wrong column count, or with a
-    side that tokenizes to nothing, are rejected with their line number.
+    Blank lines are skipped and counted in one warning. Lines with the
+    wrong column count, or with a side that tokenizes to nothing, are
+    rejected with their line number.
     """
-    lines, _ = read_nonblank_lines(source)
+    lines, blanks = read_nonblank_lines(source)
+    if blanks:
+        logger.warning("skipped %d blank line(s)", blanks)
     pairs: list[tuple[str, str]] = []
     for line_number, text in lines:
         fields = text.split("\t")

@@ -93,10 +93,12 @@ class Vocabulary:
         return term_id
 
     @classmethod
-    def _of_distinct(cls, terms: list[str]) -> "Vocabulary | None":
+    def _of_distinct(cls, terms: list[str], ids: dict[str, int] | None = None) -> "Vocabulary | None":
         """The vocabulary of terms in order, or None if a term repeats;
-        terms is kept, not copied."""
-        ids = dict(zip(terms, range(len(terms))))
+        terms is kept, not copied, and so is ids if given, which must be
+        dict(zip(terms, range(len(terms))))."""
+        if ids is None:
+            ids = dict(zip(terms, range(len(terms))))
         if len(ids) != len(terms):
             return None
         vocabulary = cls()

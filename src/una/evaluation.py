@@ -72,8 +72,11 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def load_scored_pairs(source) -> list[ScoredPair]:
-    """Read sentence_a<TAB>sentence_b<TAB>gold lines; blank lines skipped."""
-    lines, _ = read_nonblank_lines(source)
+    """Read sentence_a<TAB>sentence_b<TAB>gold lines; blank lines are
+    skipped and counted in one warning."""
+    lines, blanks = read_nonblank_lines(source)
+    if blanks:
+        logger.warning("skipped %d blank line(s)", blanks)
     pairs = []
     for line_number, text in lines:
         fields = text.split("\t")

@@ -26,9 +26,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,10 +44,13 @@ _HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=([0-9]+) m=([0-9]+)$")
 _TERM_LINE = r"[^\W_]\S*(?<=[^\W_])\t[0-9.e+-]+\t[0-9.e+-]+"
 _TERM_SECTION = rf"{_TERM_LINE}(?:\n{_TERM_LINE})*"
 
-# Term lines that load_model splits, or whose score texts it checks, with
-# one call: enough to keep the work off each field, few enough that
-# holding them costs little.
+# Term lines that load_model reads from the file, splits, or whose score
+# texts it checks, at once: enough to keep the work off each field, few
+# enough that holding them costs little.
 _SCORE_CHECK_LINES = 1024
+
+# Characters of the rank section that load_model splits into ids at once.
+_RANK_PIECE_CHARS = 1 << 14
 
 # Documents per chunk of fit: large enough that numpy's per-call cost is
 # spread over ~50k tokens, small enough that the chunk's arrays stay a few MB.
@@ -289,47 +292,50 @@ def _check_score_texts(score_texts: list[str], first_line_number: int) -> None:
             raise ModelFormatError(first_line_number + index // 2, f"bad {label} value {text!r}")
 
 
-def _term_columns(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray] | None:
-    """The term section as (vocabulary, idf, max_score) if the regex gate
-    and array checks accept every line, else None.
+def _term_columns(text: str, ids: dict[str, int]) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """A chunk of term lines, as read, as (terms, idf, max_score) if the
+    regex gate and array checks accept every line, else None.
 
     Lowercase lines that _TERM_SECTION matches hold terms that tokenize
-    to themselves and plain score texts; left to check are repeated terms
-    and scores that float() rejects or reads as negative or infinite.
-    Lines are split _SCORE_CHECK_LINES at a time, so that few score texts
-    are alive at once beside the kept terms.
+    to themselves and plain score texts; left to check are scores that
+    float() rejects or reads as negative or infinite, and terms that
+    repeat one of ids (the terms before the chunk) or of the chunk. The
+    chunk's terms are added to ids, some of them even when a repeat
+    gives None.
     """
-    m = len(term_lines)
-    terms, idf_values, max_score = [], np.empty(m), np.empty(m)
-    for start in range(0, m, _SCORE_CHECK_LINES):
-        text = "\n".join(term_lines[start : start + _SCORE_CHECK_LINES])
-        if re.fullmatch(_TERM_SECTION, text) is None or text.lower() != text:
-            return None
-        cells = text.replace("\n", "\t").split("\t")
-        terms += cells[0::3]
-        try:
-            idf_values[start : len(terms)] = list(map(float, cells[1::3]))
-            max_score[start : len(terms)] = list(map(float, cells[2::3]))
-        except ValueError:
-            return None
-    vocabulary = Vocabulary._of_distinct(terms)
-    if vocabulary is None or not all(np.isfinite(s).all() and (s >= 0).all() for s in (idf_values, max_score)):
+    text = text.replace("\r\n", "\n").removesuffix("\n")
+    if re.fullmatch(_TERM_SECTION, text) is None or text.lower() != text:
         return None
-    return vocabulary, idf_values, max_score
+    cells = text.replace("\n", "\t").split("\t")
+    terms = cells[0::3]
+    try:
+        idf_values = np.fromiter(map(float, cells[1::3]), np.float64, len(terms))
+        max_score = np.fromiter(map(float, cells[2::3]), np.float64, len(terms))
+    except ValueError:
+        return None
+    if not all(np.isfinite(s).all() and (s >= 0).all() for s in (idf_values, max_score)):
+        return None
+    first = len(ids)
+    ids.update(zip(terms, range(first, first + len(terms))))
+    if len(ids) != first + len(terms):
+        return None
+    return terms, idf_values, max_score
 
 
-def _scan_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
-    """The term section checked line by line, raising on the first bad
-    line: it names what _term_columns rejects, and accepts terms such as
-    "+" that tokenize to themselves without alphanumeric ends."""
-    m = len(term_lines)
-    vocabulary = Vocabulary()
+def _scan_terms(term_lines: list[str], ids: dict[str, int]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A chunk of term lines, as read, checked line by line: it raises on
+    the first bad line, naming what _term_columns rejects, and accepts
+    terms such as "+" that tokenize to themselves without alphanumeric
+    ends. ids holds the terms before the chunk and gains its terms; the
+    score texts are checked to be plain once every line has passed."""
+    first, m = len(ids), len(term_lines)
+    terms = []
     idf_values = np.zeros(m, dtype=np.float64)
     max_score = np.zeros(m, dtype=np.float64)
     score_texts = []
-    for term_id, line in enumerate(term_lines):
-        line_number = 2 + term_id
-        fields = line.split("\t")
+    for index, line in enumerate(term_lines):
+        line_number = 2 + first + index
+        fields = line.rstrip("\r\n").split("\t")
         if len(fields) != 3:
             raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
         term, idf_text, score_text = fields
@@ -339,39 +345,49 @@ def _scan_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarr
         # alphanumeric character is whitespace.
         if not (term.isalnum() and term.lower() == term) and tokenize(term) != [term]:
             raise ModelFormatError(line_number, f"term {term!r} is not a single token")
-        if term in vocabulary:
+        if term in ids:
             raise ModelFormatError(line_number, f"duplicate term {term!r}")
-        vocabulary.add(term)
-        idf_values[term_id] = _parse_score(idf_text, line_number, "idf")
-        max_score[term_id] = _parse_score(score_text, line_number, "max_score")
+        ids[term] = first + index
+        terms.append(term)
+        idf_values[index] = _parse_score(idf_text, line_number, "idf")
+        max_score[index] = _parse_score(score_text, line_number, "max_score")
         score_texts += idf_text, score_text
-        if len(score_texts) == 2 * _SCORE_CHECK_LINES or term_id == m - 1:
-            _check_score_texts(score_texts, line_number + 1 - len(score_texts) // 2)
-            score_texts.clear()
-    return vocabulary, idf_values, max_score
+    _check_score_texts(score_texts, 2 + first)
+    return terms, idf_values, max_score
 
 
-def _rank_ids(rank_lines: list[str], max_score: np.ndarray) -> np.ndarray | None:
+def _rank_ids(rank_text: str, max_score: np.ndarray) -> np.ndarray | None:
     """The rank section's ids if they pass every check of _scan_rank_ids, else None.
 
     The checks run on arrays: there are m tokens, all ASCII digits, each id
     is below m, and (max_score, id) ascends strictly. Strict ascent admits
     no id twice, so the ids are then each id below m once. An id too large
-    for int64 also gives None.
+    for int64 also gives None. The text is split _RANK_PIECE_CHARS
+    characters at a time, each piece ending at whitespace, so that few
+    id strings are alive at once.
     """
     m = max_score.size
-    tokens = " ".join(rank_lines).split()
-    if len(tokens) != m:
+    ids = np.empty(m, dtype=np.int64)
+    count = start = 0
+    while start < len(rank_text):
+        space = re.compile(r"\s").search(rank_text, start + _RANK_PIECE_CHARS)
+        end = space.start() if space else len(rank_text)
+        tokens = rank_text[start:end].split()
+        start = end
+        if count + len(tokens) > m:
+            return None
+        digits = "".join(tokens)
+        if tokens and not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            ids[count : count + len(tokens)] = np.array(tokens, dtype=np.int64)
+        except OverflowError:
+            return None
+        count += len(tokens)
+    if count != m:
         return None
     if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    digits = "".join(tokens)
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        ids = np.array(tokens, dtype=np.int64)
-    except OverflowError:
-        return None
+        return ids
     if ids.max() >= m:
         return None
     score_steps = np.diff(max_score[ids])
@@ -413,39 +429,80 @@ def _scan_rank_ids(rank_lines: list[str], first_line_number: int, max_score: np.
     return np.array(rank_ids, dtype=np.int64)
 
 
+def _truncated(line_count: int) -> ModelFormatError:
+    return ModelFormatError(line_count + 1, "truncated file: missing term or rank lines")
+
+
+def _read_terms(lines: Iterator[str], m: int) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """The term section, the next m lines, as (vocabulary, idf, max_score).
+
+    It is read _SCORE_CHECK_LINES lines at a time, so that one chunk's
+    text is held beside the kept terms and scores, not the section's:
+    _term_columns reads a chunk, and only a chunk that it rejects is
+    scanned line by line. Before a chunk's error is raised the rest of the
+    file is counted, so that a file too short for its m term lines and
+    rank header is reported as truncated, whatever its term lines hold.
+    """
+    terms, ids = [], {}
+    idf_parts, score_parts = [np.zeros(0)], [np.zeros(0)]
+    for start in range(0, m, _SCORE_CHECK_LINES):
+        size = min(_SCORE_CHECK_LINES, m - start)
+        chunk = list(islice(lines, size))
+        line_count = 1 + start + len(chunk)
+        if len(chunk) < size:
+            raise _truncated(line_count)
+        columns = _term_columns("".join(chunk), ids)
+        if columns is None:
+            ids = dict(zip(terms, range(start)))  # without the rejected chunk's terms
+            try:
+                columns = _scan_terms(chunk, ids)
+            except ModelFormatError:
+                line_count += sum(1 for _ in lines)
+                if line_count < m + 2:
+                    raise _truncated(line_count) from None
+                raise
+        terms += columns[0]
+        idf_parts.append(columns[1])
+        score_parts.append(columns[2])
+    return Vocabulary._of_distinct(terms, ids), np.concatenate(idf_parts), np.concatenate(score_parts)
+
+
 def load_model(source) -> TfIdfModel:
-    """Parse a model file produced by save_model; inverse up to float repr."""
+    """Parse a model file produced by save_model; inverse up to float repr.
+
+    Lines end at a line feed only (a path is opened so), and their
+    trailing carriage returns are dropped. The term section is read in chunks
+    (_read_terms), the rank section whole.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8", newline="\n") as handle:
             return load_model(handle)
 
-    lines = source.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    lines = [line.rstrip("\r") for line in lines]
-
-    if not lines:
+    lines = iter(source)
+    header_line = next(lines, None)
+    if header_line is None:
         raise ModelFormatError(1, "empty model file")
-    header = _HEADER_RE.match(lines[0])
+    header_line = header_line.rstrip("\r\n")
+    header = _HEADER_RE.match(header_line)
     if header is None:
-        raise ModelFormatError(1, f"bad header {lines[0]!r} (expected 'UNA-TFIDF v1 N=<int> m=<int>')")
+        raise ModelFormatError(1, f"bad header {header_line!r} (expected 'UNA-TFIDF v1 N=<int> m=<int>')")
     n_docs, m = int(header.group(1)), int(header.group(2))
     if n_docs < 1:
         raise ModelFormatError(1, f"N must be >= 1, got {n_docs}")
 
-    if len(lines) < 1 + m + 1:
-        raise ModelFormatError(len(lines) + 1, "truncated file: missing term or rank lines")
+    vocabulary, idf_values, max_score = _read_terms(lines, m)
+    ranks_line = next(lines, None)
+    if ranks_line is None:
+        raise _truncated(1 + m)
+    ranks_line = ranks_line.rstrip("\r\n")
+    if ranks_line != "ranks:":
+        raise ModelFormatError(m + 2, f"expected 'ranks:' section, got {ranks_line!r}")
 
-    term_lines = lines[1 : 1 + m]
-    columns = _term_columns(term_lines)
-    vocabulary, idf_values, max_score = columns if columns is not None else _scan_terms(term_lines)
-
-    ranks_line = 1 + m
-    if lines[ranks_line] != "ranks:":
-        raise ModelFormatError(ranks_line + 1, f"expected 'ranks:' section, got {lines[ranks_line]!r}")
-
-    rank_lines = lines[ranks_line + 1 :]
-    rank_ids = _rank_ids(rank_lines, max_score)
+    rank_text = "".join(lines)
+    rank_ids = _rank_ids(rank_text, max_score)
     if rank_ids is None:
-        rank_ids = _scan_rank_ids(rank_lines, ranks_line + 2, max_score)
+        rank_lines = rank_text.split("\n")
+        if rank_lines[-1] == "":
+            rank_lines.pop()
+        rank_ids = _scan_rank_ids(rank_lines, m + 3, max_score)
     return TfIdfModel(vocabulary, n_docs, idf_values, max_score, rank_ids)

@@ -70,7 +70,7 @@ def reference_fit(corpus: Corpus) -> TfIdfModel:
 
 def reference_load_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     """load_model's term section read line by line, the oracle of its
-    regex-gated column parse: split each line on tabs, check the term
+    regex-gated column parse of each chunk: split each line on tabs, check the term
     tokenizes to itself and is new, parse both scores, and check the score
     texts are plain a chunk of lines at a time. Raises ModelFormatError
     naming the first bad line."""
@@ -97,6 +97,34 @@ def reference_load_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray,
             tfidf._check_score_texts(score_texts, line_number + 1 - len(score_texts) // 2)
             score_texts.clear()
     return vocabulary, idf_values, max_score
+
+
+def reference_load_model(text: str) -> TfIdfModel:
+    """load_model as the whole-text parse that its chunked read replaced:
+    split the text on newlines, drop a final empty piece and each line's
+    trailing carriage returns, check the header and then that the file
+    holds m term lines and the rank header, read the term lines with
+    reference_load_terms, check the rank header and scan the rank ids one
+    by one. Raises ModelFormatError naming the first bad line."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    lines = [line.rstrip("\r") for line in lines]
+    if not lines:
+        raise ModelFormatError(1, "empty model file")
+    header = tfidf._HEADER_RE.match(lines[0])
+    if header is None:
+        raise ModelFormatError(1, f"bad header {lines[0]!r} (expected 'UNA-TFIDF v1 N=<int> m=<int>')")
+    n_docs, m = int(header.group(1)), int(header.group(2))
+    if n_docs < 1:
+        raise ModelFormatError(1, f"N must be >= 1, got {n_docs}")
+    if len(lines) < m + 2:
+        raise ModelFormatError(len(lines) + 1, "truncated file: missing term or rank lines")
+    vocabulary, idf_values, max_score = reference_load_terms(lines[1 : 1 + m])
+    if lines[1 + m] != "ranks:":
+        raise ModelFormatError(m + 2, f"expected 'ranks:' section, got {lines[1 + m]!r}")
+    rank_ids = tfidf._scan_rank_ids(lines[m + 2 :], m + 3, max_score)
+    return TfIdfModel(vocabulary, n_docs, idf_values, max_score, rank_ids)
 
 
 def reference_read_lines(source) -> tuple[list[tuple[int, str]], int]:

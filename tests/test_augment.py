@@ -2,6 +2,7 @@
 
 import io
 import tracemalloc
+import weakref
 from itertools import chain
 from unittest import mock
 
@@ -1067,3 +1068,40 @@ def test_long_line_costs_about_its_own_columns():
     alone = peak([long_line])
     for at in (0, 31, 63):
         assert peak(short[:at] + [long_line] + short[at:]) < 2 * alone
+
+
+def test_documents_held_do_not_grow_with_input_length():
+    # Documents of eight terms come from a generator; a weak reference
+    # counts the ones still alive whenever a new one is read. A pass holds
+    # at most _PASS_CELLS / 16 of them, and the batches read ahead of the
+    # one yielded are a pass's and the batch that closed it, so at most a
+    # pass and two batches are alive, for 2,000 documents as for 20,000.
+    model = fit(zipf_corpus(np.random.default_rng(3), n_sentences=400, vocab_size=300))
+    rows = corpus_token_lists(zipf_corpus(np.random.default_rng(4), n_sentences=500, vocab_size=300))
+    config = AugmentationConfig(radius=50, alpha=1, seed=1)
+
+    def peak_alive(n_documents):
+        alive = peak = 0
+
+        def freed(_):
+            nonlocal alive
+            alive -= 1
+
+        def documents():
+            nonlocal alive, peak
+            references = []
+            for i in range(n_documents):
+                document = Document(i, rows[i % len(rows)])
+                references.append(weakref.ref(document, freed))
+                alive += 1
+                peak = max(peak, alive)
+                yield document
+
+        count = sum(len(batch) for batch in iter_negative_batches(model, documents(), config, 64))
+        assert count == n_documents
+        return peak
+
+    bound = augment._PASS_CELLS // 16 + 2 * 64
+    assert bound < 2_000
+    assert peak_alive(2_000) <= bound
+    assert peak_alive(20_000) <= bound

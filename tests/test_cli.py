@@ -2,8 +2,12 @@
 
 import argparse
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -263,6 +267,155 @@ class TestAugment:
         assert rc == 0
 
 
+class TestAugmentStreaming:
+    """una augment reads its input as it augments it, so its output is
+    written beside --output and renamed onto it only once every line has
+    been read and augmented."""
+
+    FLAGS = ["--alpha", "1", "--batch-size", "2", "--seed", "3"]
+
+    def augment(self, model_file, source, out, *extra):
+        argv = ["augment", "--model", str(model_file), "--input", str(source), "--output", str(out)]
+        return main([*argv, *self.FLAGS, *extra])
+
+    @pytest.fixture
+    def source(self, tmp_path):
+        path = tmp_path / "input.txt"
+        write_lines(path, [f"a b b c{'c' * (i % 3)}" for i in range(40)])
+        return path
+
+    @pytest.fixture
+    def want(self, tmp_path, model_file, source):
+        """The output bytes of a run onto a new file."""
+        path = tmp_path / "want.tsv"
+        assert self.augment(model_file, source, path) == 0
+        return path.read_bytes()
+
+    def test_decode_error_on_last_line_leaves_directory_as_it_was(self, tmp_path, model_file, source, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(source.read_bytes() + b"a \xff b\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "o.tsv"
+        assert self.augment(model_file, bad, out) == 1
+        offset = source.stat().st_size + 2
+        assert capsys.readouterr().err == f"error: invalid UTF-8 at byte {offset} (line 41): invalid start byte\n"
+        assert list(work.iterdir()) == []
+        out.write_bytes(b"kept\n")
+        assert self.augment(model_file, bad, out) == 1
+        capsys.readouterr()
+        assert [path.name for path in work.iterdir()] == ["o.tsv"]
+        assert out.read_bytes() == b"kept\n"
+
+    def test_new_output_gets_the_mode_open_gives(self, tmp_path, model_file, source):
+        out = tmp_path / "o.tsv"
+        previous = os.umask(0o027)
+        try:
+            assert self.augment(model_file, source, out) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_existing_output_keeps_its_mode(self, tmp_path, model_file, source, want):
+        out = tmp_path / "o.tsv"
+        out.write_bytes(b"old\n")
+        out.chmod(0o604)
+        assert self.augment(model_file, source, out) == 0
+        assert out.read_bytes() == want
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "dangling"])
+    def test_symlinked_output_is_written_through(self, tmp_path, model_file, source, want, exists):
+        target = tmp_path / "elsewhere" / "o.tsv"
+        target.parent.mkdir()
+        if exists:
+            target.write_bytes(b"old\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        assert self.augment(model_file, source, link) == 0
+        assert link.is_symlink() and target.read_bytes() == want
+        assert [path.name for path in target.parent.iterdir()] == ["o.tsv"]
+
+    def test_output_may_be_the_input(self, model_file, source, want):
+        assert self.augment(model_file, source, source) == 0
+        assert source.read_bytes() == want
+
+    def test_interrupt_removes_the_temporary_file(self, tmp_path, model_file, source, monkeypatch):
+        original = cli.iter_negative_batches
+
+        def interrupted(*args):
+            yield next(original(*args))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "iter_negative_batches", interrupted)
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "o.tsv"
+        out.write_bytes(b"kept\n")
+        with pytest.raises(KeyboardInterrupt):
+            self.augment(model_file, source, out)
+        assert [path.name for path in work.iterdir()] == ["o.tsv"]
+        assert out.read_bytes() == b"kept\n"
+
+    def test_bad_output_directory_reported_before_a_decode_error(self, tmp_path, model_file, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a \xff b\n")
+        out = tmp_path / "missing" / "o.tsv"
+        assert self.augment(model_file, bad, out) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_output_is_written_directly(self, tmp_path, model_file, source, want):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert self.augment(model_file, source, pipe) == 0
+        finally:
+            reader.join(timeout=60)
+        assert received == [want]
+
+    def test_input_is_read_as_batches_are_written(self, tmp_path, model_file, monkeypatch):
+        # 5,000 lines of four tokens fill more than two passes of
+        # augment._PASS_CELLS // 8 rows each.
+        source = tmp_path / "input.txt"
+        write_lines(source, ["a b b c"] * 5_000)
+        exhausted, at_batches = [], []
+        read_lines, negative_batches = cli._iter_raw_lines, cli.iter_negative_batches
+
+        def lines(handle):
+            yield from read_lines(handle)
+            exhausted.append(True)
+
+        def batches(*args):
+            for batch in negative_batches(*args):
+                at_batches.append(bool(exhausted))
+                yield batch
+
+        monkeypatch.setattr(cli, "_iter_raw_lines", lines)
+        monkeypatch.setattr(cli, "iter_negative_batches", batches)
+        assert self.augment(model_file, source, tmp_path / "o.tsv", "--batch-size", "64") == 0
+        assert len(at_batches) == 79 and not at_batches[0] and exhausted
+
+    def test_peak_memory_does_not_grow_with_input_length(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--corpus", str(SAMPLE_CORPUS), "--output", str(model)]) == 0
+        peaks = []
+        for copies in (1, 16):
+            source = tmp_path / f"input-{copies}.txt"
+            source.write_bytes(SAMPLE_CORPUS.read_bytes() * copies)
+            tracemalloc.start()
+            try:
+                assert self.augment(model, source, tmp_path / "o.tsv", "--batch-size", "64", "--radius", "4000") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] < peaks[0] + 1_000_000
+
+
 class TestEval:
     def make_pairs(self, tmp_path):
         path = tmp_path / "pairs.tsv"
@@ -335,6 +488,15 @@ class TestEval:
         assert rc == 0
         assert capsys.readouterr().out.startswith("rho=")
 
+    def test_blank_lines_reported_on_stderr(self, tmp_path, model_file):
+        # The real process, as in TestAugment: the warning reaches standard error.
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a b\ta b\t5.0\n\na b\ta c\t3.0\nb\tc\t0.5\n\n\n", encoding="utf-8")
+        argv = ["eval", "--pairs", str(pairs), "--model", str(model_file)]
+        result = subprocess.run([sys.executable, "-m", "una.cli", *argv], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "skipped 3 blank line(s)\n")
+        assert result.stdout.startswith("rho=") and result.stdout.endswith(" n=3\n")
+
     def test_constant_gold_exits_3(self, tmp_path, model_file, capsys):
         pairs = tmp_path / "pairs.tsv"
         write_lines(pairs, ["a b\ta b\t1.0", "a\tb\t1.0", "b\tc\t1.0"])
@@ -403,6 +565,15 @@ class TestLossDemo:
         write_lines(pairs, ["a\tb"])
         assert main(["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs)]) == 3
         capsys.readouterr()
+
+    def test_blank_lines_reported_on_stderr(self, tmp_path):
+        # The real process, as in TestAugment: the warning reaches standard error.
+        corpus, pairs = self.make_inputs(tmp_path)
+        pairs.write_text("\n" + pairs.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        argv = ["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs)]
+        result = subprocess.run([sys.executable, "-m", "una.cli", *argv], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "skipped 2 blank line(s)\n")
+        assert result.stdout.startswith("loss_without_una=")
 
     def test_missing_pairs_file_exits_1(self, tmp_path):
         corpus, _ = self.make_inputs(tmp_path)

@@ -17,6 +17,7 @@ from helpers import (
     corpus_token_lists,
     random_corpus,
     reference_fit,
+    reference_load_model,
     reference_load_terms,
     reference_term_frequencies,
     synthetic_model,
@@ -507,7 +508,7 @@ class TestRankSectionChecks:
                 lines.append("")
             lines[-1] += f" {token}"
 
-        fast = tfidf._rank_ids(lines, max_score)
+        fast = tfidf._rank_ids("\n".join(lines), max_score)
         try:
             scanned = tfidf._scan_rank_ids(lines, 7, max_score)
         except ModelFormatError:
@@ -576,18 +577,35 @@ class TestPlainText:
             assert tokenize(text) == [text]
 
 
-def _load_outcome(text: str):
-    """What load_model makes of a model text: its error, or its columns."""
+def _load_outcome(text: str, load=lambda text: load_model(io.StringIO(text))):
+    """What a loader makes of a model text: its error, or its columns."""
     try:
-        model = load_model(io.StringIO(text))
+        model = load(text)
     except ModelFormatError as error:
         return "error", error.line_number, str(error)
     return "model", model.vocabulary.terms, model.idf.tobytes(), model.max_score.tobytes(), model.rank_by_score.tobytes()
 
 
+def _random_edits(text: str, rng: np.random.Generator, count: int):
+    """count copies of text, each with one character of its term section
+    inserted, replaced or deleted."""
+    section_end = text.index("ranks:")
+    pool = list("\t\n -_eE.+0123456789aZé²#\r ١") + ["ab", "-0", "1e9999"]
+    for _ in range(count):
+        at = int(rng.integers(text.index("\n") + 1, section_end))
+        piece = pool[int(rng.integers(len(pool)))]
+        edit = int(rng.integers(3))
+        if edit == 0:
+            yield text[:at] + piece + text[at:]
+        elif edit == 1:
+            yield text[:at] + piece + text[at + 1 :]
+        else:
+            yield text[:at] + text[at + 1 :]
+
+
 class TestTermColumns:
-    """load_model's regex-gated column parse of the term section against
-    the line-by-line oracle in helpers."""
+    """load_model, which reads the term section in chunks through a
+    regex-gated column parse, against the whole-text oracle in helpers."""
 
     TERMS = ["the", "ba-loki", "x-45c", "don't", "ärger", "日本", "straße", "a", "7", "naïve", "q2"]
 
@@ -598,19 +616,26 @@ class TestTermColumns:
         save_model(fit(corpus), buffer)
         return buffer.getvalue()
 
-    def assert_matches_loop(self, text, monkeypatch):
+    @pytest.fixture(params=[None, 4, 1], ids=["chunk-default", "chunk-4", "chunk-1"])
+    def chunk_lines(self, request, monkeypatch):
+        """Term lines per chunk: the default, which holds all 11 of saved's,
+        or few enough that saved's term section spans several chunks."""
+        if request.param is not None:
+            monkeypatch.setattr(tfidf, "_SCORE_CHECK_LINES", request.param)
+        return tfidf._SCORE_CHECK_LINES
+
+    def assert_matches_loop(self, text):
         got = _load_outcome(text)
-        with monkeypatch.context() as patch:
-            patch.setattr(tfidf, "_term_columns", reference_load_terms)
-            assert got == _load_outcome(text)
+        assert got == _load_outcome(text, reference_load_model)
         return got
 
     def test_saved_models_take_the_column_path(self, saved):
         lines = saved.split("\n")
         m = len(self.TERMS)
-        vocabulary, idf_values, max_score = tfidf._term_columns(lines[1 : 1 + m])
+        ids = {}
+        terms, idf_values, max_score = tfidf._term_columns("\n".join(lines[1 : 1 + m]) + "\n", ids)
         want = reference_load_terms(lines[1 : 1 + m])
-        assert vocabulary == want[0] and vocabulary.get("x-45c") == want[0].get("x-45c")
+        assert terms == want[0].terms and ids == {term: want[0].get(term) for term in terms}
         assert idf_values.tobytes() == want[1].tobytes() and max_score.tobytes() == want[2].tobytes()
 
     @pytest.mark.parametrize(
@@ -621,39 +646,69 @@ class TestTermColumns:
                                               "e5", "١", "", "0x10", "1e5", "5e-324", "1.5e+300", "1e", "1..2", "-"]],
     )
     @pytest.mark.parametrize("line", [0, 5, 10])
-    def test_corrupted_field_matches_loop(self, saved, monkeypatch, field, text, line):
+    def test_corrupted_field_matches_loop(self, saved, field, text, line):
         lines = saved.split("\n")
         fields = lines[1 + line].split("\t")
         fields[field] = text
         lines[1 + line] = "\t".join(fields)
-        self.assert_matches_loop("\n".join(lines), monkeypatch)
+        self.assert_matches_loop("\n".join(lines))
 
     @pytest.mark.parametrize("line", [0, 5, 10])
-    def test_corrupted_structure_matches_loop(self, saved, monkeypatch, line):
+    def test_corrupted_structure_matches_loop(self, saved, line):
         lines = saved.split("\n")
         row = lines[1 + line]
         for changed in [row + "\t", row.rsplit("\t", 1)[0], row.replace("\t", " ", 1), row.replace("\t", "\n", 1),
                         row + "\n" + row, "\t" + row, row.replace("\t", "\t\t", 1)]:
-            self.assert_matches_loop("\n".join(lines[: 1 + line] + [changed] + lines[2 + line :]), monkeypatch)
-        self.assert_matches_loop("\n".join(lines[: 1 + line] + lines[2 + line :]), monkeypatch)
+            self.assert_matches_loop("\n".join(lines[: 1 + line] + [changed] + lines[2 + line :]))
+        self.assert_matches_loop("\n".join(lines[: 1 + line] + lines[2 + line :]))
 
-    def test_random_edits_match_loop(self, saved, monkeypatch):
-        rng = np.random.default_rng(5)
-        section_end = saved.index("ranks:")
-        pool = list("\t\n -_eE.+0123456789aZé²#\r ١") + ["ab", "-0", "1e9999"]
-        outcomes = set()
-        for _ in range(400):
-            at = int(rng.integers(saved.index("\n") + 1, section_end))
-            piece = pool[int(rng.integers(len(pool)))]
-            edit = int(rng.integers(3))
-            if edit == 0:
-                text = saved[:at] + piece + saved[at:]
-            elif edit == 1:
-                text = saved[:at] + piece + saved[at + 1 :]
-            else:
-                text = saved[:at] + saved[at + 1 :]
-            outcomes.add(self.assert_matches_loop(text, monkeypatch)[0])
+    def test_random_edits_match_loop(self, saved):
+        outcomes = {self.assert_matches_loop(text)[0] for text in _random_edits(saved, np.random.default_rng(5), 400)}
         assert outcomes == {"error", "model"}
+
+    @pytest.mark.parametrize("chunk", [4, 1])
+    def test_random_edits_match_loop_in_small_chunks(self, saved, monkeypatch, chunk):
+        monkeypatch.setattr(tfidf, "_SCORE_CHECK_LINES", chunk)
+        texts = _random_edits(saved, np.random.default_rng(6), 400)
+        assert {self.assert_matches_loop(text)[0] for text in texts} == {"error", "model"}
+
+    @pytest.mark.parametrize("kept", [3, 8, 11, 12])
+    def test_truncated_after_an_early_bad_line(self, saved, chunk_lines, kept):
+        # Truncation is reported even when a term line before the cut, in
+        # an earlier chunk, is bad; kept counts the lines left after the
+        # header, so 11 keeps every term line and 12 the rank header too.
+        lines = saved.split("\n")
+        term, _, score = lines[2].split("\t")
+        lines[2] = "\t".join([term, "1_0", score])
+        text = "\n".join(lines[: 1 + kept]) + "\n"
+        outcome = self.assert_matches_loop(text)
+        if kept < 12:
+            assert outcome == ("error", kept + 2, f"line {kept + 2}: truncated file: missing term or rank lines")
+        else:
+            assert outcome == ("error", 3, "line 3: bad idf value '1_0'")
+
+    def test_duplicate_before_a_bad_score_in_a_later_chunk(self, saved, chunk_lines):
+        # A duplicate on line 4 is reported, not the bad score on line 7,
+        # although with 4 lines a chunk the score's chunk comes later.
+        lines = saved.split("\n")
+        lines[3] = "\t".join(["the"] + lines[3].split("\t")[1:])
+        lines[6] = "\t".join(lines[6].split("\t")[:2] + ["-1"])
+        assert self.assert_matches_loop("\n".join(lines)) == ("error", 4, "line 4: duplicate term 'the'")
+
+    def test_crlf_model(self, saved, chunk_lines):
+        outcome = self.assert_matches_loop(saved.replace("\n", "\r\n"))
+        assert outcome == _load_outcome(saved)
+
+    def test_lone_carriage_return_in_a_term_read_from_a_path(self, saved, chunk_lines, tmp_path):
+        # The file's lines end at "\n" only: a lone "\r" stays in its line,
+        # whose term is then two tokens.
+        lines = saved.split("\n")
+        lines[5] = "\t".join(["ab\rcd"] + lines[5].split("\t")[1:])
+        text = "\n".join(lines)
+        path = tmp_path / "model.txt"
+        path.write_bytes(text.encode("utf-8"))
+        want = ("error", 6, "line 6: term 'ab\\rcd' is not a single token")
+        assert _load_outcome(path, load_model) == _load_outcome(text, reference_load_model) == want
 
     def test_gate_classes_match_str_methods(self):
         # The gate reads [^\W_] as str.isalnum() and \s as str.isspace().
