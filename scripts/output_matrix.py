@@ -58,9 +58,16 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   over a copy of its own input (--output equal to --input); and on that
   input with an invalid UTF-8 last line, written over an existing output
   file, which exits 1 and must leave the file as it was;
-- the standard output of every run.
+- the text readers' line ends and block edges: `una fit` on a CRLF copy of
+  the fit-corpus input of seed 1, `una augment` on a CRLF copy of the
+  augment-guided input of seed 1 with that seed's model and the
+  benchmark's flags, and `una fit` on a copy of that fit-corpus input with
+  an invalid UTF-8 byte on a line past its first 64 KiB, which exits 1;
+- the standard output of every run, and the standard error of each run
+  that exits non-zero, which names the line and byte offset of a decode
+  error.
 
-That is 346 files per side. The script prints how many are identical,
+That is 353 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -164,8 +171,10 @@ def write_punctuated_corpus(path: Path) -> None:
 
 def make_inputs(work: Path) -> None:
     """Write the punctuated and zero-score corpora, the config files, the
-    bench/gen.py inputs of every workload for every seed, and the
-    augment-guided input of seed 1 with an invalid UTF-8 last line."""
+    bench/gen.py inputs of every workload for every seed, the
+    augment-guided input of seed 1 with an invalid UTF-8 last line, CRLF
+    copies of the fit-corpus and augment-guided inputs of seed 1, and that
+    fit-corpus input with an invalid byte inserted past its first 64 KiB."""
     work.mkdir(parents=True)
     write_punctuated_corpus(work / "punctuated_corpus.txt")
     write_zero_score_corpus(work / "zero_score_corpus.txt")
@@ -181,6 +190,11 @@ def make_inputs(work: Path) -> None:
             )
     source = work / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
     (work / "bad_last_line.txt").write_bytes(source.read_bytes() + b"caf\xc3 au lait\n")
+    (work / "augment_input_crlf.txt").write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+    corpus = (work / f"fit-corpus-{GEN_SEEDS[0]}" / "fit_corpus.txt").read_bytes()
+    (work / "fit_corpus_crlf.txt").write_bytes(corpus.replace(b"\n", b"\r\n"))
+    at = corpus.index(b"\n", 100_000) + 4
+    (work / "fit_corpus_bad_byte.txt").write_bytes(corpus[:at] + b"\xff" + corpus[at:])
 
 
 def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
@@ -264,6 +278,10 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     evaluate = ["eval", "--pairs", str(inputs / f"train-eval-{GEN_SEEDS[0]}" / "dev_pairs.tsv"),
                 "--model", str(out / f"fit-train-model-{GEN_SEEDS[0]}")]
     matrix.append((f"eval-train-{GEN_SEEDS[0]}-config", [*evaluate, "--config", str(inputs / "eval.conf")]))
+    matrix.append(fit(f"fit-corpus-{GEN_SEEDS[0]}-crlf", inputs / "fit_corpus_crlf.txt"))
+    name = f"augment-guided-{GEN_SEEDS[0]}-crlf"
+    source = inputs / "augment_input_crlf.txt"
+    matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], BENCH_AUGMENT_FLAGS))
     return matrix
 
 
@@ -286,10 +304,13 @@ def existing_output_runs(inputs: Path, out: Path) -> list[tuple[str, list[str], 
 
 
 def run_checkout(checkout: Path, inputs: Path, out: Path) -> None:
-    """Run the matrix with one checkout's una; keep each run's stdout."""
+    """Run the matrix with one checkout's una; keep each run's stdout, and
+    its stderr if it exits non-zero."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    bad_fit = ["fit", "--corpus", str(inputs / "fit_corpus_bad_byte.txt"), "--output", str(out / "fit-bad-byte")]
     matrix = [(name, args, None, 0) for name, args in runs(inputs, out)] + existing_output_runs(inputs, out)
+    matrix.append(("fit-bad-byte", bad_fit, None, 1))
     for name, args, existing, code in matrix:
         if existing is not None:
             shutil.copyfile(existing, out / name)
@@ -298,6 +319,8 @@ def run_checkout(checkout: Path, inputs: Path, out: Path) -> None:
             sys.exit(f"{checkout}: una {' '.join(args)} exited {result.returncode}, not {code}:\n"
                      f"{result.stderr.decode()}")
         (out / f"{name}.stdout").write_bytes(result.stdout)
+        if code:
+            (out / f"{name}.stderr").write_bytes(result.stderr)
 
 
 def main() -> int:

@@ -21,6 +21,7 @@ import math
 import os
 import stat
 import sys
+from functools import partial
 
 from .augment import MODE_RANDOM, MODE_TFIDF, AugmentationConfig, augment_batch, iter_negative_batches
 from .contrastive import (
@@ -30,7 +31,7 @@ from .contrastive import (
     batch_loss,
     load_pairs,
 )
-from .corpus import CorpusDecodeError, Document, _iter_raw_lines, load_corpus, tokenize
+from .corpus import _READ_BYTES, CorpusDecodeError, Document, _iter_raw_lines, load_corpus, tokenize
 from .evaluation import EvalDataError, evaluate_pairs, load_scored_pairs
 from .tfidf import ModelFormatError, fit, load_model, save_model
 
@@ -167,7 +168,7 @@ def cmd_augment(args) -> int:
 
     def documents(source):
         nonlocal blanks
-        for number, text in _iter_raw_lines(source):
+        for number, text in _iter_raw_lines(iter(partial(source.read, _READ_BYTES), b"")):
             if text:
                 yield Document.from_text(number, text)
             else:

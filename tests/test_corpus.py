@@ -2,7 +2,11 @@
 
 import io
 import sys
+import tempfile
+import time
 import unicodedata
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from helpers import (
     reference_read_lines,
     reference_tokenize,
 )
+from una import corpus as corpus_module
 from una.corpus import (
     _COMPACT_CHUNK,
     Corpus,
@@ -336,6 +341,26 @@ def _outcome(reader, source):
         return ("CorpusDecodeError", exc.line_number, exc.byte_offset, str(exc))
 
 
+# Chunk sizes that part a stream mid-line, mid-sequence and between \r and \n.
+_CHUNK_SIZES = (1, 2, 3, 5)
+
+
+def _chunks(data, size):
+    return [data[start:start + size] for start in range(0, len(data), size)]
+
+
+def _outcomes_in_blocks(data):
+    """The reader's outcome on data in chunks of each _CHUNK_SIZES size,
+    and read from a path with _READ_BYTES set to 3."""
+    outcomes = [_outcome(read_nonblank_lines, _chunks(data, size)) for size in _CHUNK_SIZES]
+    if isinstance(data, bytes):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus_module, "_READ_BYTES", 3):
+            path = Path(tmp) / "lines.txt"
+            path.write_bytes(data)
+            outcomes.append(_outcome(read_nonblank_lines, path))
+    return outcomes
+
+
 class TestReaderOracle:
     """The streaming reader gives what the split-based reader gave: the
     same lines, blank counts and decode errors (line, offset, reason)."""
@@ -365,6 +390,50 @@ class TestReaderOracle:
         path = tmp_path / "lines.txt"
         path.write_bytes(data)
         assert _outcome(read_nonblank_lines, path) == _outcome(reference_read_lines, io.BytesIO(data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_BYTE_PIECES), max_size=12).map(b"".join))
+    def test_bytes_in_blocks(self, data):
+        expected = _outcome(reference_read_lines, io.BytesIO(data))
+        assert all(outcome == expected for outcome in _outcomes_in_blocks(data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join))
+    def test_text_in_blocks(self, text):
+        expected = reference_read_lines(io.StringIO(text))
+        assert all(outcome == expected for outcome in _outcomes_in_blocks(text))
+
+    @pytest.mark.parametrize("chunks", [
+        [b"a\r", b"\nb\r", b"\n"],  # \r | \n
+        ["a\r", "\nb\r", "\n"],
+        [b"a\xe2\x82", b"\xacb\n"],  # \xe2\x82 | \xac
+        [b"a\xe2\x82", b"\xac\n\xe2", b"\x82\n"],  # then cut short by its newline
+        [b"ok\n", b"fine\n", b"x\n\xffy\n", b"z\n"],  # an invalid byte in the third block
+        [b"a\n", b"\r"],  # a final unterminated \r alone in its chunk
+        ["a\n", "\r"],
+        [b"a", b"", b"b\n", b"", b"\r", b"c"],
+    ])
+    def test_block_edges(self, chunks):
+        data = chunks[0][:0].join(chunks)
+        stream = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+        assert _outcome(read_nonblank_lines, chunks) == _outcome(reference_read_lines, stream)
+
+    def test_long_line_in_linear_time(self, tmp_path):
+        # Copying the tail again for every chunk would take minutes here.
+        line = b"x" * (1 << 20)
+        started = time.process_time()
+
+        def single_bytes():
+            for start in range(len(line)):
+                if not start % (1 << 16):
+                    assert time.process_time() - started < 20, "a long line is read in quadratic time"
+                yield line[start:start + 1]
+
+        want = ([(1, line.decode())], 0)
+        assert read_nonblank_lines(single_bytes()) == want
+        path = tmp_path / "long.txt"
+        path.write_bytes(line)
+        assert read_nonblank_lines(path) == want
 
     def test_cut_sequence_reason(self):
         with pytest.raises(CorpusDecodeError, match="unexpected end of data") as err:
