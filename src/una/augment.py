@@ -105,6 +105,8 @@ class AugmentationConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.beta, (int, float, np.integer, np.floating)) or isinstance(self.beta, bool):
+            raise ValueError(f"beta must be a real number, got {self.beta!r}")
         if not 0 < self.beta <= 1:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
         if self.radius < 1:

@@ -110,7 +110,8 @@ def cmd_fit(args) -> int:
     if corpus.n_docs == 0:
         raise FlagError(f"corpus {args.corpus} is empty")
     model = fit(corpus)
-    save_model(model, args.output)
+    with _replaced_on_success(args.output) as out:
+        save_model(model, out)
     print(f"N={model.n_docs} m={model.m}")
     return 0
 

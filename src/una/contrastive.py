@@ -33,6 +33,8 @@ class PairsFormatError(ValueError):
 
 
 def _check_tau(tau: float) -> None:
+    if not isinstance(tau, (int, float, np.integer, np.floating)) or isinstance(tau, bool):
+        raise ValueError(f"tau must be a real number, got {tau!r}")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and > 0, got {tau}")
 

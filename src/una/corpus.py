@@ -7,7 +7,7 @@ whitespace, trim surrounding punctuation, lowercase. Interior punctuation
 
 load_corpus does not tokenize line by line: it maps each lowercased
 whitespace piece straight to a term id through a piece table that
-tokenizes a piece once, on its first lookup, and maps a piece that trims
+trims a piece once, on its first lookup, and maps a piece that trims
 to nothing to -1, which is then dropped from the id column in place.
 Pieces repeat far more often than they are new, so most pieces cost one
 dict lookup.
@@ -282,12 +282,14 @@ def build_vocabulary(documents: Iterable[Document]) -> Vocabulary:
 
 class _PieceTable(dict):
     """Lowercased whitespace piece -> term id, or -1 for a piece that trims
-    to nothing; a piece is tokenized once, on its first lookup.
+    to nothing; a piece is trimmed once, on its first lookup.
 
-    tokenize(piece) gives the piece's one term, because str.lower is
-    idempotent and a piece holds no whitespace. A piece that is its own
-    term gets the next id and is appended to terms, so ids are in
-    first-occurrence order of the terms.
+    A piece is trimmed as tokenize trims it, without tokenize's lowercasing
+    and split: they would give the piece back unchanged, because str.lower
+    is idempotent and adds no whitespace (tests/test_corpus.py checks both
+    on every code point). A piece that is its own term gets the next id
+    and is appended to terms, so ids are in first-occurrence order of the
+    terms.
     """
 
     def __init__(self):
@@ -295,11 +297,11 @@ class _PieceTable(dict):
         self.terms: list[str] = []
 
     def __missing__(self, piece: str) -> int:
-        tokens = tokenize(piece)
-        if not tokens:
+        term = piece if piece[0].isalnum() and piece[-1].isalnum() else _trim_punctuation(piece)
+        if not term:
             term_id = -1
-        elif tokens[0] != piece:
-            term_id = self[tokens[0]]
+        elif term != piece:
+            term_id = self[term]
         else:
             term_id = len(self.terms)
             self.terms.append(piece)
@@ -334,7 +336,7 @@ def load_corpus(source) -> Corpus:
     Blank lines are skipped (they carry nothing to score or replace) and
     counted in a single warning; the kept lines are the rows, in order.
     Each lowercased whitespace piece is looked up in a piece table, which
-    tokenizes a piece only the first time it is seen; a piece that trims
+    trims a piece only the first time it is seen; a piece that trims
     to nothing maps to -1 and is squeezed out of the id column in place
     once every line is read. The rows hold tokenize(line)'s tokens, and
     term ids are in first-occurrence order, as build_vocabulary gives them.

@@ -18,6 +18,12 @@ idf(df, N) = -log(df / N), rank ties broken by ascending term id. Both
 logarithms are taken with math.log1p and math.log, one value at a time:
 numpy's np.log1p and np.log differ from them in the last place for about
 1% of arguments, which would change the model bytes.
+
+Scores repeat heavily: idf depends on a term's document frequency alone,
+and tf on a ratio c/n of small counts. So each conversion runs once per
+distinct value and is gathered back: the logarithms per distinct c/n and
+df, save_model's repr per distinct bit pattern, and load_model's float()
+per distinct score text of a chunk.
 """
 
 from __future__ import annotations
@@ -44,9 +50,10 @@ _HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=([0-9]+) m=([0-9]+)$")
 _TERM_LINE = r"[^\W_]\S*(?<=[^\W_])\t[0-9.e+-]+\t[0-9.e+-]+"
 _TERM_SECTION = rf"{_TERM_LINE}(?:\n{_TERM_LINE})*"
 
-# Term lines that load_model reads from the file, splits, or whose score
-# texts it checks, at once: enough to keep the work off each field, few
-# enough that holding them costs little.
+# Term lines that load_model reads from the file, splits, parses (each
+# distinct score text once) or whose score texts it checks, at once: enough
+# to keep the work off each field, few enough that holding them, and the
+# chunk's text-to-float memo, costs little.
 _SCORE_CHECK_LINES = 1024
 
 # Characters of the rank section that load_model splits into ids at once.
@@ -174,11 +181,11 @@ def fit(corpus: Corpus) -> TfIdfModel:
         doc_freq += np.bincount(terms, minlength=m)
         np.maximum.at(max_tf, terms, tfs)
 
-    # The +0.0 turns the -0.0 of a term in every document into a plain 0.0
-    # so serialization stays tidy.
-    idf_values = np.array(
-        [-math.log(df / n_docs) + 0.0 if df else 0.0 for df in doc_freq.tolist()]
-    )
+    # Terms share few distinct document frequencies, so math.log runs once
+    # for each. The +0.0 turns the -0.0 of a term in every document into a
+    # plain 0.0 so serialization stays tidy.
+    dfs, inverse = np.unique(doc_freq, return_inverse=True)
+    idf_values = np.array([-math.log(df / n_docs) + 0.0 if df else 0.0 for df in dfs.tolist()])[inverse]
     return TfIdfModel(corpus.vocabulary, n_docs, idf_values, max_tf * idf_values)
 
 
@@ -242,6 +249,14 @@ def sentence_scores(model: TfIdfModel, sentences: Sequence[Iterable[str]]) -> li
     return [SentenceScores._unchecked(terms[a:b], scores[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """repr of each float64 of values, as an object array that holds one
+    str per distinct bit pattern: -0.0 and 0.0 (and NaNs with different
+    payloads) each keep their own text."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    return np.array([repr(value) for value in bits.view(np.float64).tolist()], dtype=object)[inverse]
+
+
 def save_model(model: TfIdfModel, sink) -> None:
     """Write a model as UTF-8 text; reals use shortest round-trip decimals."""
     if isinstance(sink, (str, Path)):
@@ -249,11 +264,12 @@ def save_model(model: TfIdfModel, sink) -> None:
             save_model(model, handle)
         return
     sink.write(f"UNA-TFIDF v1 N={model.n_docs} m={model.m}\n")
-    # The columns are converted a value at a time: tolist() would hold m
-    # more objects at once and raised una fit's peak RSS by ~3.5 MB.
+    # Each distinct score is converted once, and its text is shared by
+    # every term that has it, so the columns add m pointers each, not m
+    # objects (a float and a str per value).
     sink.writelines(
-        f"{term}\t{idf!r}\t{max_score!r}\n"
-        for term, idf, max_score in zip(model.vocabulary, map(float, model.idf), map(float, model.max_score))
+        f"{term}\t{idf}\t{max_score}\n"
+        for term, idf, max_score in zip(model.vocabulary, _reprs(model.idf), _reprs(model.max_score))
     )
     sink.write("ranks:\n")
     sink.write(" ".join(map(str, map(int, model.rank_by_score))))
@@ -309,12 +325,15 @@ def _term_columns(text: str, ids: dict[str, int]) -> tuple[list[str], np.ndarray
     if re.fullmatch(_TERM_SECTION, text) is None or text.lower() != text:
         return None
     cells = text.replace("\n", "\t").split("\t")
-    terms = cells[0::3]
+    terms, idf_texts, score_texts = cells[0::3], cells[1::3], cells[2::3]
+    # Each distinct score text of the chunk is parsed once.
+    distinct = {*idf_texts, *score_texts}
     try:
-        idf_values = np.fromiter(map(float, cells[1::3]), np.float64, len(terms))
-        max_score = np.fromiter(map(float, cells[2::3]), np.float64, len(terms))
+        parsed = dict(zip(distinct, map(float, distinct)))
     except ValueError:
         return None
+    idf_values = np.fromiter(map(parsed.__getitem__, idf_texts), np.float64, len(terms))
+    max_score = np.fromiter(map(parsed.__getitem__, score_texts), np.float64, len(terms))
     if not all(np.isfinite(s).all() and (s >= 0).all() for s in (idf_values, max_score)):
         return None
     first = len(ids)

@@ -68,6 +68,20 @@ def reference_fit(corpus: Corpus) -> TfIdfModel:
     return TfIdfModel(corpus.vocabulary, n_docs, idf_values, np.array(max_tf) * idf_values)
 
 
+def reference_save_model(model: TfIdfModel, sink) -> None:
+    """save_model one value at a time: the oracle of its per-distinct-value
+    conversion. Each term line holds the term and the repr of its idf and
+    max_score as Python floats."""
+    sink.write(f"UNA-TFIDF v1 N={model.n_docs} m={model.m}\n")
+    sink.writelines(
+        f"{term}\t{idf!r}\t{max_score!r}\n"
+        for term, idf, max_score in zip(model.vocabulary, map(float, model.idf), map(float, model.max_score))
+    )
+    sink.write("ranks:\n")
+    sink.write(" ".join(map(str, map(int, model.rank_by_score))))
+    sink.write("\n")
+
+
 def reference_load_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     """load_model's term section read line by line, the oracle of its
     regex-gated column parse of each chunk: split each line on tabs, check the term

@@ -1,6 +1,7 @@
 """Replacement probabilities, candidate windows, sampling, and scheduling."""
 
 import io
+import re
 import tracemalloc
 import weakref
 from itertools import chain
@@ -71,6 +72,11 @@ class TestConfig:
             {"alpha": "5"},
             {"selection_mode": "other"},
             {"replacement_mode": "other"},
+            {"beta": True},
+            {"beta": np.bool_(True)},
+            {"beta": "0.5"},
+            {"beta": None},
+            {"beta": 0.5j},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -80,6 +86,15 @@ class TestConfig:
     def test_accepts_numpy_integers(self):
         config = AugmentationConfig(radius=np.int64(3), alpha=np.uint8(2), seed=np.uint64(2**64 - 1))
         assert (config.radius, config.alpha, config.seed) == (3, 2, 2**64 - 1)
+
+    def test_accepts_real_beta_types(self):
+        for beta in (1, 0.25, np.float32(0.25), np.float64(0.5), np.int64(1)):
+            assert AugmentationConfig(beta=beta).beta == beta
+
+    @pytest.mark.parametrize("beta", [True, "0.5", None])
+    def test_beta_type_error_names_the_value(self, beta):
+        with pytest.raises(ValueError, match=f"beta must be a real number, got {re.escape(repr(beta))}"):
+            AugmentationConfig(beta=beta)
 
 
 class TestReplacementProbabilities:

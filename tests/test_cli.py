@@ -65,6 +65,75 @@ class TestFit:
         capsys.readouterr()
 
 
+class _FailingSink:
+    """A text sink that passes its first writes on to handle, then raises error."""
+
+    def __init__(self, handle, error, writes):
+        self.handle, self.error, self.writes = handle, error, writes
+
+    def write(self, text):
+        if not self.writes:
+            raise self.error
+        self.writes -= 1
+        self.handle.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+class TestFitOutput:
+    """una fit writes its model beside --output and renames it onto it only
+    once the whole model is written."""
+
+    @pytest.fixture
+    def failing_save(self, monkeypatch):
+        """Make save_model raise the given error after a header and two term
+        lines, writing through to a path as the real save_model does."""
+        real = cli.save_model
+
+        def install(error):
+            def save(model, sink):
+                if isinstance(sink, (str, Path)):
+                    with open(sink, "w", encoding="utf-8", newline="\n") as handle:
+                        return save(model, handle)
+                return real(model, _FailingSink(sink, error, 3))
+
+            monkeypatch.setattr(cli, "save_model", save)
+
+        return install
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    def test_failed_write_leaves_existing_model(self, tmp_path, corpus_file, model_file, failing_save, error, capsys):
+        before = model_file.read_bytes()
+        failing_save(error)
+        argv = ["fit", "--corpus", str(corpus_file), "--output", str(model_file)]
+        if isinstance(error, OSError):
+            assert main(argv) == 1
+            assert "No space left on device" in capsys.readouterr().err
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert model_file.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.txt", "model.txt"]
+
+    def test_failed_write_leaves_no_new_file(self, tmp_path, corpus_file, failing_save, capsys):
+        failing_save(OSError(28, "No space left on device"))
+        assert main(["fit", "--corpus", str(corpus_file), "--output", str(tmp_path / "m.txt")]) == 1
+        capsys.readouterr()
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.txt"]
+
+    def test_existing_model_is_replaced_and_keeps_its_mode(self, tmp_path, corpus_file, model_file):
+        want = model_file.read_bytes()
+        out = tmp_path / "old.txt"
+        out.write_bytes(b"old\n" * 100)
+        out.chmod(0o604)
+        assert main(["fit", "--corpus", str(corpus_file), "--output", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+
 class TestAugment:
     def make_input(self, tmp_path, n_lines):
         path = tmp_path / "input.txt"

@@ -105,7 +105,7 @@ class TestInfoNce:
             info_nce(basis(2, 0), basis(2, 1), [np.array([np.inf, 0.0])], 1.0)
 
     def test_bad_tau_rejected(self):
-        for tau in (0.0, -1.0, math.nan, math.inf):
+        for tau in (0.0, -1.0, math.nan, math.inf, True, np.bool_(True), "0.05", None, 1j):
             with pytest.raises(ValueError):
                 info_nce(basis(2, 0), basis(2, 1), [basis(2, 1)], tau)
 
@@ -202,9 +202,11 @@ class TestBatchLoss:
             batch_loss(anchors, positives, una_negatives=negatives, config=ContrastiveConfig(tau=1.0))
 
     def test_config_validation(self):
-        for tau in (0.0, -0.5, math.nan, math.inf):
+        for tau in (0.0, -0.5, math.nan, math.inf, True, np.bool_(True), "0.05", None, 1j):
             with pytest.raises(ValueError):
                 ContrastiveConfig(tau=tau)
+        for tau in (1, 0.05, np.float32(0.5), np.int64(2)):
+            assert ContrastiveConfig(tau=tau).tau == tau
         with pytest.raises(ValueError):
             ContrastiveConfig(batch_size=0)
         assert ContrastiveConfig() == ContrastiveConfig(tau=0.05, batch_size=64)

@@ -119,6 +119,15 @@ class TestTokenizeFastPath:
                     f"U+{code_point:04X} lowercases to punctuation"
                 )
 
+    def test_lower_is_idempotent_on_every_code_point(self):
+        # load_corpus's piece table trims a piece of a lowercased line
+        # without lowercasing it again. No code point lowercases to Σ (it
+        # would not be idempotent), so no final-sigma context is left to
+        # make a lowered string differ from its own lowercase.
+        for code_point in range(sys.maxunicode + 1):
+            lowered = chr(code_point).lower()
+            assert lowered.lower() == lowered, f"U+{code_point:04X}"
+
     def test_final_sigma_context_stops_at_whitespace_and_punctuation(self):
         # Lowercasing Σ looks past case-ignorable characters for a cased
         # one on each side. Neither whitespace nor a P* character may be

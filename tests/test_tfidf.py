@@ -3,7 +3,9 @@
 import io
 import math
 import re
+import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +21,12 @@ from helpers import (
     reference_fit,
     reference_load_model,
     reference_load_terms,
+    reference_save_model,
     reference_term_frequencies,
     synthetic_model,
 )
 from una import tfidf
-from una.corpus import Corpus, load_corpus, tokenize
+from una.corpus import Corpus, Vocabulary, load_corpus, tokenize
 from una.tfidf import (
     ModelFormatError,
     SentenceScores,
@@ -715,3 +718,131 @@ class TestTermColumns:
         text = "".join(map(chr, range(sys.maxunicode + 1)))
         assert re.findall(r"[^\W_]", text) == [char for char in text if char.isalnum()]
         assert re.findall(r"\s", text) == [char for char in text if char.isspace()]
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+# Bit patterns that save_model must write as the per-value writer does:
+# both zeros, the smallest and largest subnormals, the smallest normal,
+# infinities, NaNs with other signs and payloads, and reprs of 17 digits.
+_EDGE_BITS = [_bits(x) for x in (0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                                 math.inf, -math.inf, math.nan, -math.nan, 0.1, 1 / 3, 1e16, 1.5e300)]
+_EDGE_BITS += [0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]
+
+
+def _model_from_bits(idf_bits, score_bits, n_docs=7) -> TfIdfModel:
+    idf_values = np.array(idf_bits, dtype=np.uint64).view(np.float64)
+    max_score = np.array(score_bits, dtype=np.uint64).view(np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf in the score prefix sums
+        return TfIdfModel(Vocabulary(f"t{k}" for k in range(idf_values.size)), n_docs, idf_values, max_score)
+
+
+@st.composite
+def _repeating_bit_columns(draw):
+    """Two columns of m float64 bit patterns drawn from a pool of a few
+    values, so that most values repeat, within and across the columns."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGE_BITS), st.integers(0, 2**64 - 1)), min_size=1, max_size=6))
+    m = draw(st.integers(0, 40))
+    column = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+    return draw(column), draw(column)
+
+
+def _saved(save, model) -> str:
+    buffer = io.StringIO()
+    save(model, buffer)
+    return buffer.getvalue()
+
+
+class TestDistinctValues:
+    """fit, save_model and load_model convert each distinct value once;
+    the results equal those of converting every value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_repeating_bit_columns())
+    def test_save_model_matches_per_value_writer(self, columns):
+        model = _model_from_bits(*columns)
+        assert _saved(save_model, model) == _saved(reference_save_model, model)
+
+    @pytest.mark.parametrize("idf_bits, score_bits", [([], []), ([_bits(0.0)], [_bits(-0.0)]),
+                                                      ([_bits(-0.0)], [_bits(math.nan)])])
+    def test_save_model_of_empty_and_single_term_models(self, idf_bits, score_bits):
+        model = _model_from_bits(idf_bits, score_bits)
+        assert _saved(save_model, model) == _saved(reference_save_model, model)
+
+    def test_signed_zeros_keep_their_text(self):
+        text = _saved(save_model, _model_from_bits([_bits(0.0), _bits(-0.0)] * 2, [_bits(-0.0), _bits(0.0)] * 2))
+        assert text.split("\n")[1:5] == ["t0\t0.0\t-0.0", "t1\t-0.0\t0.0", "t2\t0.0\t-0.0", "t3\t-0.0\t0.0"]
+
+    def test_idf_of_repeated_and_zero_document_frequencies(self):
+        # Term k occurs in the first k % 5 of 40 documents, so 50 terms
+        # share five document frequencies, ten of them zero.
+        pool = [f"w{k}" for k in range(50)]
+        token_lists = [[term for k, term in enumerate(pool) if doc < k % 5] + ["every"] for doc in range(40)]
+        corpus = corpus_from_token_lists(token_lists, pool + ["every", "unused"])
+        model, expected = fit(corpus), reference_fit(corpus)
+        _assert_bit_equal(model.idf, expected.idf)
+        _assert_bit_equal(model.max_score, expected.max_score)
+        assert np.unique(model.idf).size == 5
+        assert model.idf[-2:].tolist() == [0.0, 0.0] and _bits(model.idf[-2]) == 0  # every: -0.0 made 0.0
+
+    @pytest.mark.parametrize("chunk", [None, 4, 1])
+    @pytest.mark.parametrize("bad_lines", [(3, 6), (5, 6), (2, 9)], ids=["one-chunk", "adjacent", "apart"])
+    def test_repeated_bad_text_is_named_at_its_first_line(self, monkeypatch, chunk, bad_lines):
+        # 1e999 parses to inf: its first line is named, whether its repeat
+        # lies in the same chunk of term lines or in a later one.
+        if chunk is not None:
+            monkeypatch.setattr(tfidf, "_SCORE_CHECK_LINES", chunk)
+        m = 10
+        lines = [f"t{k}\t1.5\t0.25" for k in range(m)]
+        for line in bad_lines:
+            lines[line] = f"t{line}\t1.5\t1e999"
+        text = f"UNA-TFIDF v1 N=2 m={m}\n" + "\n".join(lines) + "\nranks:\n" + " ".join(map(str, range(m))) + "\n"
+        want = f"line {bad_lines[0] + 2}: max_score must be finite and >= 0, got 1e999"
+        assert str(_load_error(text)) == want
+        assert _load_outcome(text, reference_load_model)[2] == want
+
+    def test_same_text_in_both_columns_of_a_chunk(self):
+        text = "UNA-TFIDF v1 N=2 m=3\na\t0.5\t0.5\nb\t0.25\t0.5\nc\t0.5\t-0.0\nranks:\n2 0 1\n"
+        model = load_model(io.StringIO(text))
+        assert model.idf.tolist() == [0.5, 0.25, 0.5] and model.max_score.tolist() == [0.5, 0.5, 0.0]
+        assert _bits(model.max_score[2]) == _bits(-0.0)
+        assert _saved(save_model, model) == text
+
+    def test_save_model_peak_memory(self):
+        # 20k terms with a few hundred distinct scores. The distinct-value
+        # texts and their gathers hold arrays of m bit patterns and m
+        # pointers (~50 bytes a term), less than the rank section's join of
+        # m id strings (~68 bytes a term) that the per-value writer holds
+        # too; a text object per value would add ~70 bytes a term a column.
+        m = 20_000
+        rng = np.random.default_rng(0)
+        idf_values = rng.choice(np.log(np.arange(1, 301) / 7.0) ** 2, m)
+        model = TfIdfModel(Vocabulary(f"t{k}" for k in range(m)), 5000, idf_values,
+                           idf_values * rng.choice(np.log1p(1 / np.arange(1, 6)), m))
+
+        class Sink:
+            """Discards the text; notes the traced peak when the term lines end."""
+
+            def write(self, text):
+                if text == "ranks:\n":
+                    self.term_peak = tracemalloc.get_traced_memory()[1]
+
+            def writelines(self, lines):
+                for _ in lines:
+                    pass
+
+        def peaks(save):
+            sink = Sink()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                save(model, sink)
+                return sink.term_peak - base, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        term_peak, peak = peaks(save_model)
+        assert term_peak < 64 * m
+        assert peak < 1.1 * peaks(reference_save_model)[1]
