@@ -21,7 +21,6 @@ import math
 import os
 import stat
 import sys
-from functools import partial
 
 from .augment import MODE_RANDOM, MODE_TFIDF, AugmentationConfig, augment_batch, iter_negative_batches
 from .contrastive import (
@@ -31,7 +30,7 @@ from .contrastive import (
     batch_loss,
     load_pairs,
 )
-from .corpus import _READ_BYTES, CorpusDecodeError, Document, _iter_raw_lines, load_corpus, tokenize
+from .corpus import CorpusDecodeError, Document, _iter_raw_lines, load_corpus, tokenize
 from .evaluation import EvalDataError, evaluate_pairs, load_scored_pairs
 from .tfidf import ModelFormatError, fit, load_model, save_model
 
@@ -42,7 +41,7 @@ UNAUGMENTABLE_MARKER = "#unaugmentable"
 # Largest accepted --dim: the toy encoder holds dim floats per term vector.
 MAX_DIM = 4096
 
-_IO_ERRORS = (OSError, UnicodeDecodeError, CorpusDecodeError, ModelFormatError, PairsFormatError)
+_IO_ERRORS = (OSError, CorpusDecodeError, ModelFormatError, PairsFormatError)
 
 
 class FlagError(ValueError):
@@ -52,23 +51,22 @@ class FlagError(ValueError):
 def _load_config_file(path: str, valid_keys: frozenset[str]) -> dict[str, str]:
     values: dict[str, str] = {}
     first_lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise FlagError(f"{path}:{line_number}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            name = key.strip().replace("-", "_")
-            if name not in valid_keys:
-                known = ", ".join(sorted(k.replace("_", "-") for k in valid_keys))
-                raise FlagError(f"{path}:{line_number}: unknown key {key.strip()!r} (valid keys: {known})")
-            if name in first_lines:
-                first = first_lines[name]
-                raise FlagError(f"{path}:{line_number}: key {key.strip()!r} given twice (first on line {first})")
-            first_lines[name] = line_number
-            values[name] = value.strip()
+    for line_number, line in _iter_raw_lines(path):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise FlagError(f"{path}:{line_number}: expected key=value, got {text!r}")
+        key, value = text.split("=", 1)
+        name = key.strip().replace("-", "_")
+        if name not in valid_keys:
+            known = ", ".join(sorted(k.replace("_", "-") for k in valid_keys))
+            raise FlagError(f"{path}:{line_number}: unknown key {key.strip()!r} (valid keys: {known})")
+        if name in first_lines:
+            first = first_lines[name]
+            raise FlagError(f"{path}:{line_number}: key {key.strip()!r} given twice (first on line {first})")
+        first_lines[name] = line_number
+        values[name] = value.strip()
     return values
 
 
@@ -169,7 +167,7 @@ def cmd_augment(args) -> int:
 
     def documents(source):
         nonlocal blanks
-        for number, text in _iter_raw_lines(iter(partial(source.read, _READ_BYTES), b"")):
+        for number, text in _iter_raw_lines(source):
             if text:
                 yield Document.from_text(number, text)
             else:

@@ -1,9 +1,14 @@
 """Sentence corpus loading, tokenization, and the term vocabulary.
 
-A corpus file is plain UTF-8 text, one sentence per line (LF line endings,
-trailing newline optional). Tokenization is deliberately minimal: split on
-whitespace, trim surrounding punctuation, lowercase. Interior punctuation
-(hyphens, apostrophes) is kept so tokens like "x-45c" survive intact.
+_iter_raw_lines reads every input file (corpus, augment input, pairs,
+model, --config) as UTF-8 lines that end at a line feed, less trailing
+carriage returns; invalid UTF-8 raises CorpusDecodeError, which names
+the line and the byte offset in the file.
+
+A corpus file holds one sentence per line. Tokenization is deliberately
+minimal: split on whitespace, trim surrounding punctuation, lowercase.
+Interior punctuation (hyphens, apostrophes) is kept so tokens like
+"x-45c" survive intact.
 
 load_corpus does not tokenize line by line: it maps each lowercased
 whitespace piece straight to a term id through a piece table that
@@ -15,12 +20,13 @@ dict lookup.
 
 from __future__ import annotations
 
+import io
 import logging
 import unicodedata
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -30,14 +36,12 @@ logger = logging.getLogger(__name__)
 
 
 class CorpusDecodeError(ValueError):
-    """Raised when a corpus stream is not valid UTF-8."""
+    """Raised when an input file is not valid UTF-8."""
 
     def __init__(self, line_number: int, byte_offset: int, reason: str):
         self.line_number = line_number
         self.byte_offset = byte_offset
-        super().__init__(
-            f"invalid UTF-8 at byte {byte_offset} (line {line_number}): {reason}"
-        )
+        super().__init__(f"invalid UTF-8 at byte {byte_offset} (line {line_number}): {reason}")
 
 
 def _trim_punctuation(piece: str) -> str:
@@ -185,42 +189,58 @@ class Corpus:
         return self.n_docs
 
 
-# Bytes read from a path at a time. Larger blocks read the fit benchmark's
-# input no faster, and 64 KiB raised its peak RSS by 9-10 MB.
+# Bytes read from a path or binary file at a time. Larger blocks read the
+# fit benchmark's input no faster, and 64 KiB raised its peak RSS by 9-10 MB.
 _READ_BYTES = 1 << 14
 
 
-def _decode_lines(block: bytes, number: int, offset: int) -> Iterator[tuple[int, str]]:
-    """Yield the lines of a block that failed to decode as a whole, one
-    line at a time, up to the first that fails, and raise its error.
-
-    A newline is never part of a UTF-8 sequence, so a block decodes iff
-    every line in it does; a line decoded alone reports a sequence cut
-    short by its newline as "unexpected end of data".
-    """
-    for number, line in enumerate(block.split(b"\n"), start=number + 1):
+def _split_lines(block, number: int, offset: int) -> list[str]:
+    """The lines of a block, decoded if it is bytes and split on line feeds,
+    without the carriage returns that end them; number and offset count
+    the lines and bytes before the block, to place a decode error."""
+    if isinstance(block, bytes):
         try:
-            yield number, line.decode("utf-8").rstrip("\r")
-        except UnicodeDecodeError as exc:
-            raise CorpusDecodeError(number, offset + exc.start, exc.reason) from exc
-        offset += len(line) + 1
+            block = block.decode("utf-8")
+        except UnicodeDecodeError:
+            # A newline is never part of a UTF-8 sequence, so the error is
+            # that of the first line that fails alone; a sequence cut short
+            # by its newline is then "unexpected end of data".
+            for number, line in enumerate(block.split(b"\n"), start=number + 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorpusDecodeError(number, offset + exc.start, exc.reason) from exc
+                offset += len(line) + 1
+    lines = block.split("\n")
+    if "\r" in block:
+        lines = [line.rstrip("\r") for line in lines]
+    return lines
 
 
 def _iter_raw_lines(source) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, text) for each line of a path, or of a stream or
-    other iterable of str or bytes chunks, such as the lines a file yields.
+    """Yield (line_number, text) for each line of a path, a binary file
+    (io.BufferedIOBase), or another iterable of str or bytes chunks, such
+    as a text stream, whose chunks are its lines.
 
-    A path is read _READ_BYTES at a time. Each run of complete lines in a
-    chunk, together with the unterminated tail of the chunks before it, is
-    decoded once and split on newlines; a decode failure is reported with
-    the line and byte offset that decoding each line alone gives. Text
-    excludes the newline and the carriage returns before it; an
-    unterminated last line that is empty without them is no line.
+    A path or binary file is read _READ_BYTES at a time. Each run of
+    complete lines in a chunk, together with the unterminated tail of the
+    chunks before it, is decoded once and split on line feeds; a decode
+    failure raises CorpusDecodeError with the line and byte offset that
+    decoding each line alone gives. Text excludes the line feed and the
+    carriage returns before it; an unterminated last line that is empty
+    without them is no line. Runs are chained and numbered in C.
     """
+    return enumerate(chain.from_iterable(_line_runs(source)), start=1)
+
+
+def _line_runs(source) -> Iterator[list[str]]:
+    """The lines of _iter_raw_lines, one list per run."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            yield from _iter_raw_lines(iter(partial(handle.read, _READ_BYTES), b""))
+            yield from _line_runs(handle)
         return
+    if isinstance(source, io.BufferedIOBase):
+        source = iter(partial(source.read, _READ_BYTES), b"")
     number = offset = 0
     # The unterminated tail so far, joined once its newline or the end comes,
     # so a line that spans many chunks is copied once.
@@ -228,40 +248,19 @@ def _iter_raw_lines(source) -> Iterator[tuple[int, str]]:
     for chunk in source:
         end = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n")
         if end < 0:
-            if chunk:
-                pending.append(chunk)
+            pending.append(chunk)
             continue
-        if pending:
-            pending.append(chunk[:end])
-            block = chunk[:0].join(pending)
-            pending = []
-        else:
-            block = chunk[:end]
-        if end + 1 < len(chunk):
-            pending.append(chunk[end + 1:])
-        if isinstance(block, bytes):
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError:
-                yield from _decode_lines(block, number, offset)  # raises
-            offset += len(block) + 1
-        else:
-            text = block
-        lines = text.split("\n")
-        if "\r" in text:
-            lines = [line.rstrip("\r") for line in lines]
-        yield from enumerate(lines, start=number + 1)
+        pending.append(chunk[:end])
+        block = chunk[:0].join(pending)
+        pending = [chunk[end + 1:]] if end + 1 < len(chunk) else []
+        lines = _split_lines(block, number, offset)
+        yield lines
         number += len(lines)
+        offset += len(block) + 1
     if pending:
-        block = pending[0][:0].join(pending)
-        if isinstance(block, bytes):
-            try:
-                block = block.decode("utf-8")
-            except UnicodeDecodeError:
-                yield from _decode_lines(block, number, offset)  # raises
-        text = block.rstrip("\r")
-        if text:
-            yield number + 1, text
+        lines = _split_lines(pending[0][:0].join(pending), number, offset)
+        if lines != [""]:
+            yield lines
 
 
 def read_nonblank_lines(source) -> tuple[list[tuple[int, str]], int]:

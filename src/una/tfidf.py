@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, tokenize
+from .corpus import Corpus, Vocabulary, _line_runs, tokenize
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "٣", which int() reads.
 _HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=([0-9]+) m=([0-9]+)$")
@@ -58,6 +58,9 @@ _SCORE_CHECK_LINES = 1024
 
 # Characters of the rank section that load_model splits into ids at once.
 _RANK_PIECE_CHARS = 1 << 14
+
+# Rank ids that save_model converts to text and writes at once.
+_RANK_WRITE_IDS = 1024
 
 # Documents per chunk of fit: large enough that numpy's per-call cost is
 # spread over ~50k tokens, small enough that the chunk's arrays stay a few MB.
@@ -272,7 +275,9 @@ def save_model(model: TfIdfModel, sink) -> None:
         for term, idf, max_score in zip(model.vocabulary, _reprs(model.idf), _reprs(model.max_score))
     )
     sink.write("ranks:\n")
-    sink.write(" ".join(map(str, map(int, model.rank_by_score))))
+    ranks = model.rank_by_score
+    for start in range(0, ranks.size, _RANK_WRITE_IDS):
+        sink.write((" " if start else "") + " ".join(map(str, ranks[start : start + _RANK_WRITE_IDS].tolist())))
     sink.write("\n")
 
 
@@ -311,8 +316,8 @@ def _check_score_texts(score_texts: list[str], first_line_number: int) -> None:
 
 
 def _term_columns(text: str, ids: dict[str, int]) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """A chunk of term lines, as read, as (terms, idf, max_score) if the
-    regex gate and array checks accept every line, else None.
+    """A chunk of term lines, joined by newlines, as (terms, idf, max_score)
+    if the regex gate and array checks accept every line, else None.
 
     Lowercase lines that _TERM_SECTION matches hold terms that tokenize
     to themselves and plain score texts; left to check are scores that
@@ -321,7 +326,6 @@ def _term_columns(text: str, ids: dict[str, int]) -> tuple[list[str], np.ndarray
     chunk's terms are added to ids, some of them even when a repeat
     gives None.
     """
-    text = text.replace("\r\n", "\n").removesuffix("\n")
     if re.fullmatch(_TERM_SECTION, text) is None or text.lower() != text:
         return None
     cells = text.replace("\n", "\t").split("\t")
@@ -344,7 +348,7 @@ def _term_columns(text: str, ids: dict[str, int]) -> tuple[list[str], np.ndarray
 
 
 def _scan_terms(term_lines: list[str], ids: dict[str, int]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """A chunk of term lines, as read, checked line by line: it raises on
+    """A chunk of term lines checked line by line: it raises on
     the first bad line, naming what _term_columns rejects, and accepts
     terms such as "+" that tokenize to themselves without alphanumeric
     ends. ids holds the terms before the chunk and gains its terms; the
@@ -356,7 +360,7 @@ def _scan_terms(term_lines: list[str], ids: dict[str, int]) -> tuple[list[str], 
     score_texts = []
     for index, line in enumerate(term_lines):
         line_number = 2 + first + index
-        fields = line.rstrip("\r\n").split("\t")
+        fields = line.split("\t")
         if len(fields) != 3:
             raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
         term, idf_text, score_text = fields
@@ -472,7 +476,7 @@ def _read_terms(lines: Iterator[str], m: int) -> tuple[Vocabulary, np.ndarray, n
         line_count = 1 + start + len(chunk)
         if len(chunk) < size:
             raise _truncated(line_count)
-        columns = _term_columns("".join(chunk), ids)
+        columns = _term_columns("\n".join(chunk), ids)
         if columns is None:
             ids = dict(zip(terms, range(start)))  # without the rejected chunk's terms
             try:
@@ -491,19 +495,17 @@ def _read_terms(lines: Iterator[str], m: int) -> tuple[Vocabulary, np.ndarray, n
 def load_model(source) -> TfIdfModel:
     """Parse a model file produced by save_model; inverse up to float repr.
 
-    Lines end at a line feed only (a path is opened so), and their
-    trailing carriage returns are dropped. The term section is read in chunks
-    (_read_terms), the rank section whole.
+    source is a path, a binary or text stream, or an iterable of str or
+    bytes chunks (an iterable of lines keeps their newlines), read as
+    _iter_raw_lines reads every input: invalid UTF-8 raises
+    CorpusDecodeError. The lines are taken from its runs without their
+    numbers, which each section counts itself. The term section is read
+    in chunks (_read_terms), the rank section whole.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="\n") as handle:
-            return load_model(handle)
-
-    lines = iter(source)
+    lines = chain.from_iterable(_line_runs(source))
     header_line = next(lines, None)
     if header_line is None:
         raise ModelFormatError(1, "empty model file")
-    header_line = header_line.rstrip("\r\n")
     header = _HEADER_RE.match(header_line)
     if header is None:
         raise ModelFormatError(1, f"bad header {header_line!r} (expected 'UNA-TFIDF v1 N=<int> m=<int>')")
@@ -515,15 +517,11 @@ def load_model(source) -> TfIdfModel:
     ranks_line = next(lines, None)
     if ranks_line is None:
         raise _truncated(1 + m)
-    ranks_line = ranks_line.rstrip("\r\n")
     if ranks_line != "ranks:":
         raise ModelFormatError(m + 2, f"expected 'ranks:' section, got {ranks_line!r}")
 
-    rank_text = "".join(lines)
-    rank_ids = _rank_ids(rank_text, max_score)
+    rank_lines = list(lines)
+    rank_ids = _rank_ids("\n".join(rank_lines), max_score)
     if rank_ids is None:
-        rank_lines = rank_text.split("\n")
-        if rank_lines[-1] == "":
-            rank_lines.pop()
         rank_ids = _scan_rank_ids(rank_lines, m + 3, max_score)
     return TfIdfModel(vocabulary, n_docs, idf_values, max_score, rank_ids)

@@ -649,6 +649,37 @@ class TestLossDemo:
         assert main(["loss-demo", "--corpus", str(corpus), "--pairs", str(tmp_path / "no.tsv")]) == 1
 
 
+class TestModelDecodeError:
+    """A model file with invalid UTF-8 exits 1, naming the line and the
+    byte offset in the file, wherever the byte lies."""
+
+    @pytest.fixture
+    def model_bytes(self, tmp_path):
+        # About 140 KB, so the model spans several of the reader's blocks.
+        corpus = tmp_path / "corpus.txt"
+        write_lines(corpus, [f"w{k} w{k + 1} w{k * 7 % 3001}" for k in range(3000)])
+        path = tmp_path / "model.txt"
+        assert main(["fit", "--corpus", str(corpus), "--output", str(path)]) == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("section", ["header", "terms", "ranks"])
+    def test_augment_exits_1(self, tmp_path, model_bytes, section, capsys):
+        data = bytearray(model_bytes)
+        term_line = data.index(b"\n", len(data) // 2)
+        offset = {"header": 4, "terms": term_line + 2, "ranks": len(data) - 8}[section]
+        data[offset] = 0xFF
+        line = data.count(b"\n", 0, offset) + 1
+        model = tmp_path / "model.txt"
+        model.write_bytes(data)
+        source = tmp_path / "input.txt"
+        write_lines(source, ["w1 w2 w3"])
+        out = tmp_path / "o.tsv"
+        capsys.readouterr()
+        assert main(["augment", "--model", str(model), "--input", str(source), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid UTF-8 at byte {offset} (line {line}): invalid start byte\n"
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, model_file, capsys):
         source = tmp_path / "input.txt"
@@ -741,6 +772,37 @@ class TestConfigFile:
         rc = main(["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs), "--config", str(config)])
         assert rc == 2
         assert "unknown key 'with-una'" in capsys.readouterr().err
+
+
+    def test_invalid_byte_exits_1_naming_line_and_byte(self, tmp_path, model_file, capsys):
+        source = tmp_path / "input.txt"
+        write_lines(source, ["a b"])
+        config = tmp_path / "una.conf"
+        data = "seed=1\n# caf\u00e9 settings\n".encode("utf-8").replace(b"settings", b"\xff")
+        config.write_bytes(data)
+        out = tmp_path / "o.tsv"
+        rc = main(
+            ["augment", "--model", str(model_file), "--input", str(source),
+             "--output", str(out), "--config", str(config)]
+        )
+        assert rc == 1
+        offset = data.index(b"\xff")
+        assert capsys.readouterr().err == f"error: invalid UTF-8 at byte {offset} (line 2): invalid start byte\n"
+        assert not out.exists()
+
+    def test_lines_end_at_line_feeds(self, tmp_path, model_file, capsys):
+        # A CR before a LF is dropped; a lone CR ends no line, as in every input file.
+        source = tmp_path / "input.txt"
+        write_lines(source, ["a b b"] * 20)
+        config = tmp_path / "una.conf"
+        argv = ["augment", "--model", str(model_file), "--input", str(source),
+                "--output", str(tmp_path / "o.tsv"), "--config", str(config)]
+        config.write_bytes(b"# sweep settings\r\nalpha=2\r\nbatch-size=5\r\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "batches=2 negatives=10 unaugmentable=0\n"
+        config.write_bytes(b"alpha=2\rbatch-size=5\r")
+        assert main(argv) == 2
+        assert "argument --alpha: invalid int value: '2\\rbatch-size=5'" in capsys.readouterr().err
 
 
 def _subparsers():

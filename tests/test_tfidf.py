@@ -6,6 +6,7 @@ import re
 import struct
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from helpers import (
     synthetic_model,
 )
 from una import tfidf
-from una.corpus import Corpus, Vocabulary, load_corpus, tokenize
+from una.corpus import Corpus, CorpusDecodeError, Vocabulary, load_corpus, tokenize
 from una.tfidf import (
     ModelFormatError,
     SentenceScores,
@@ -636,7 +637,7 @@ class TestTermColumns:
         lines = saved.split("\n")
         m = len(self.TERMS)
         ids = {}
-        terms, idf_values, max_score = tfidf._term_columns("\n".join(lines[1 : 1 + m]) + "\n", ids)
+        terms, idf_values, max_score = tfidf._term_columns("\n".join(lines[1 : 1 + m]), ids)
         want = reference_load_terms(lines[1 : 1 + m])
         assert terms == want[0].terms and ids == {term: want[0].get(term) for term in terms}
         assert idf_values.tobytes() == want[1].tobytes() and max_score.tobytes() == want[2].tobytes()
@@ -755,6 +756,17 @@ def _saved(save, model) -> str:
     return buffer.getvalue()
 
 
+def _model_with_repeated_scores(m: int) -> TfIdfModel:
+    """m terms whose idf and max_score take a few hundred distinct values."""
+    rng = np.random.default_rng(0)
+    idf_values = rng.choice(np.log(np.arange(1, 301) / 7.0) ** 2, m)
+    return TfIdfModel(Vocabulary(f"t{k}" for k in range(m)), 5000, idf_values,
+                      idf_values * rng.choice(np.log1p(1 / np.arange(1, 6)), m))
+
+
+_RANK_CHUNK = tfidf._RANK_WRITE_IDS
+
+
 class TestDistinctValues:
     """fit, save_model and load_model convert each distinct value once;
     the results equal those of converting every value."""
@@ -762,7 +774,18 @@ class TestDistinctValues:
     @settings(max_examples=300, deadline=None)
     @given(_repeating_bit_columns())
     def test_save_model_matches_per_value_writer(self, columns):
+        # Rank ids are written a chunk at a time; with 3 a chunk, models
+        # of up to 40 terms end on and either side of chunk boundaries.
         model = _model_from_bits(*columns)
+        want = _saved(reference_save_model, model)
+        assert _saved(save_model, model) == want
+        with mock.patch.object(tfidf, "_RANK_WRITE_IDS", 3):
+            assert _saved(save_model, model) == want
+
+    @pytest.mark.parametrize("m", [0, 1, _RANK_CHUNK - 1, _RANK_CHUNK, _RANK_CHUNK + 1, 2 * _RANK_CHUNK + 1])
+    def test_save_model_across_rank_chunks(self, m):
+        rng = np.random.default_rng(m)
+        model = _model_from_bits(*np.array(_EDGE_BITS, dtype=np.uint64)[rng.integers(len(_EDGE_BITS), size=(2, m))])
         assert _saved(save_model, model) == _saved(reference_save_model, model)
 
     @pytest.mark.parametrize("idf_bits, score_bits", [([], []), ([_bits(0.0)], [_bits(-0.0)]),
@@ -814,13 +837,10 @@ class TestDistinctValues:
         # 20k terms with a few hundred distinct scores. The distinct-value
         # texts and their gathers hold arrays of m bit patterns and m
         # pointers (~50 bytes a term), less than the rank section's join of
-        # m id strings (~68 bytes a term) that the per-value writer holds
-        # too; a text object per value would add ~70 bytes a term a column.
+        # m id strings (~68 bytes a term) that the per-value writer holds;
+        # a text object per value would add ~70 bytes a term a column.
         m = 20_000
-        rng = np.random.default_rng(0)
-        idf_values = rng.choice(np.log(np.arange(1, 301) / 7.0) ** 2, m)
-        model = TfIdfModel(Vocabulary(f"t{k}" for k in range(m)), 5000, idf_values,
-                           idf_values * rng.choice(np.log1p(1 / np.arange(1, 6)), m))
+        model = _model_with_repeated_scores(m)
 
         class Sink:
             """Discards the text; notes the traced peak when the term lines end."""
@@ -846,3 +866,67 @@ class TestDistinctValues:
         term_peak, peak = peaks(save_model)
         assert term_peak < 64 * m
         assert peak < 1.1 * peaks(reference_save_model)[1]
+
+    def test_save_model_rank_section_peak_memory(self):
+        # The rank ids are written a chunk at a time, so the section's
+        # traced peak is one chunk's ints, id strings and text (~100 bytes
+        # an id), not m id strings and their join (~1.4 MB here).
+        m = 20_000
+        model = _model_with_repeated_scores(m)
+
+        class Sink:
+            """Discards the text; notes the traced memory when the rank section starts."""
+
+            def write(self, text):
+                if text == "ranks:\n":
+                    self.rank_base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+
+            def writelines(self, lines):
+                for _ in lines:
+                    pass
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            save_model(model, sink)
+            rank_peak = tracemalloc.get_traced_memory()[1] - sink.rank_base
+        finally:
+            tracemalloc.stop()
+        assert rank_peak < 200 * _RANK_CHUNK
+
+
+class TestModelInput:
+    """load_model reads a model file as every input file is read: UTF-8,
+    lines ending at LF with trailing CRs dropped, from a path, a binary or
+    text stream, or chunks, and invalid UTF-8 names its line and byte."""
+
+    # About 57 KB, so its sections span several of the reader's blocks.
+    MODEL = synthetic_model(np.random.default_rng(0).choice([0.1, 0.2, 0.3], 3000))
+
+    @pytest.mark.parametrize("section", ["header", "terms", "ranks"])
+    def test_invalid_byte_names_line_and_offset(self, tmp_path, section):
+        data = bytearray(_saved(save_model, self.MODEL).encode("utf-8"))
+        offset = {"header": 4, "terms": data.index(b"\nt2500\t") + 3, "ranks": len(data) - 8}[section]
+        data[offset] = 0xFF
+        line = data.count(b"\n", 0, offset) + 1
+        path = tmp_path / "model.txt"
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            with pytest.raises(CorpusDecodeError) as err:
+                load_model(source)
+            assert (err.value.line_number, err.value.byte_offset) == (line, offset)
+            assert str(err.value) == f"invalid UTF-8 at byte {offset} (line {line}): invalid start byte"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_streams_and_chunks_load_as_the_path(self, tmp_path, newline):
+        text = _saved(save_model, self.MODEL).replace("\n", newline)
+        data = text.encode("utf-8")
+        path = tmp_path / "model.txt"
+        path.write_bytes(data)
+        assert load_model(path) == self.MODEL
+        with open(path, "rb") as handle:
+            assert load_model(handle) == self.MODEL
+        assert load_model(io.BytesIO(data)) == self.MODEL
+        assert load_model(io.BytesIO(data).readlines()) == self.MODEL
+        assert load_model(io.StringIO(text)) == self.MODEL
