@@ -29,6 +29,9 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   that trim to nothing, with words in mixed case wrapped in Unicode
   punctuation, rows made only of dropped pieces and blank lines; its
   dropped pieces span several of load_corpus's compaction chunks;
+- `una fit` on a corpus written by this script whose long lines repeat
+  their words many times each, so that the counts c of a term in its
+  line give many ratios c/n, and that holds one line of over 16 KiB;
 - `una fit` on a small corpus written by this script in which four terms
   occur in every line (idf 0, so max score 0) and a quarter of the lines
   hold only those terms, then `una augment` on it with radius 1 and 2,
@@ -67,7 +70,7 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   that exits non-zero, which names the line and byte offset of a decode
   error.
 
-That is 353 files per side. The script prints how many are identical,
+That is 355 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -169,14 +172,30 @@ def write_punctuated_corpus(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_repeated_terms_corpus(path: Path) -> None:
+    """2,000 lines of 10 to 300 words, each line drawing its words from 1
+    to 40 of a pool of 300, and in the middle one line of 4,000 words
+    (over 16 KiB) that cycles through 97."""
+    rng = random.Random(0)
+    pool = [f"rep{k}" for k in range(300)]
+    lines = []
+    for _ in range(2000):
+        words = rng.sample(pool, rng.randint(1, 40))
+        lines.append(" ".join(rng.choice(words) for _ in range(rng.randint(10, 300))))
+    lines.insert(1000, " ".join(f"long{k % 97}" for k in range(4000)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def make_inputs(work: Path) -> None:
-    """Write the punctuated and zero-score corpora, the config files, the
-    bench/gen.py inputs of every workload for every seed, the
-    augment-guided input of seed 1 with an invalid UTF-8 last line, CRLF
-    copies of the fit-corpus and augment-guided inputs of seed 1, and that
-    fit-corpus input with an invalid byte inserted past its first 64 KiB."""
+    """Write the punctuated, repeated-terms and zero-score corpora, the
+    config files, the bench/gen.py inputs of every workload for every
+    seed, the augment-guided input of seed 1 with an invalid UTF-8 last
+    line, CRLF copies of the fit-corpus and augment-guided inputs of seed
+    1, and that fit-corpus input with an invalid byte inserted past its
+    first 64 KiB."""
     work.mkdir(parents=True)
     write_punctuated_corpus(work / "punctuated_corpus.txt")
+    write_repeated_terms_corpus(work / "repeated_terms_corpus.txt")
     write_zero_score_corpus(work / "zero_score_corpus.txt")
     for name, lines in CONFIG_FILES.items():
         (work / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -240,6 +259,7 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
                 name = f"augment-sample-s{seed}-r{radius}-b{beta}"
                 matrix.append(augment(name, "fit-sample", SAMPLE_CORPUS, seed, flags))
     matrix.append(fit("fit-punctuated", inputs / "punctuated_corpus.txt"))
+    matrix.append(fit("fit-repeated-terms", inputs / "repeated_terms_corpus.txt"))
     zero_score = inputs / "zero_score_corpus.txt"
     matrix.append(fit("fit-zero-score", zero_score))
     for seed in ZERO_SCORE_SEEDS:

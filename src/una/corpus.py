@@ -10,12 +10,13 @@ minimal: split on whitespace, trim surrounding punctuation, lowercase.
 Interior punctuation (hyphens, apostrophes) is kept so tokens like
 "x-45c" survive intact.
 
-load_corpus does not tokenize line by line: it maps each lowercased
-whitespace piece straight to a term id through a piece table that
-trims a piece once, on its first lookup, and maps a piece that trims
-to nothing to -1, which is then dropped from the id column in place.
-Pieces repeat far more often than they are new, so most pieces cost one
-dict lookup.
+load_corpus does not tokenize line by line: it works one read run of
+lines at a time, lowercasing and splitting each line, and maps the run's
+whitespace pieces straight to term ids, in one pass, through a piece
+table that trims a piece once, on its first lookup, and maps a piece
+that trims to nothing to -1, which is then dropped from the id column in
+place. Pieces repeat far more often than they are new, so most pieces
+cost one dict lookup.
 """
 
 from __future__ import annotations
@@ -44,8 +45,16 @@ class CorpusDecodeError(ValueError):
         super().__init__(f"invalid UTF-8 at byte {byte_offset} (line {line_number}): {reason}")
 
 
+# The ASCII characters of category P*: _trim_punctuation strips them in C,
+# and looks categories up only when an end of what remains is not ASCII.
+_ASCII_PUNCTUATION = "!\"#%&'()*,-./:;?@[\\]_{}"
+
+
 def _trim_punctuation(piece: str) -> str:
     """Strip leading and trailing Unicode punctuation (category P*)."""
+    piece = piece.strip(_ASCII_PUNCTUATION)
+    if not piece or (piece[0].isascii() and piece[-1].isascii()):
+        return piece
     start, end = 0, len(piece)
     while start < end and unicodedata.category(piece[start])[0] == "P":
         start += 1
@@ -334,25 +343,30 @@ def load_corpus(source) -> Corpus:
 
     Blank lines are skipped (they carry nothing to score or replace) and
     counted in a single warning; the kept lines are the rows, in order.
-    Each lowercased whitespace piece is looked up in a piece table, which
-    trims a piece only the first time it is seen; a piece that trims
-    to nothing maps to -1 and is squeezed out of the id column in place
-    once every line is read. The rows hold tokenize(line)'s tokens, and
-    term ids are in first-occurrence order, as build_vocabulary gives them.
+    The kept lines of each read run (_line_runs) are lowercased and
+    split, and all of the run's pieces are looked up in one map over a
+    piece table, which trims a piece only the first time it is seen; a
+    piece that trims to nothing maps to -1 and is squeezed out of the id
+    column in place once every line is read. The rows hold
+    tokenize(line)'s tokens, and term ids are in first-occurrence order,
+    as build_vocabulary gives them.
     """
     table = _PieceTable()
+    # indptr holds 0 and then each row's length until they are summed in
+    # place. fromlist resizes an array once a run, extend once an item.
     term_ids, indptr = array("q"), array("q", [0])
-    number = 0
-    for number, text in _iter_raw_lines(source):
-        if text:
-            term_ids.extend(map(table.__getitem__, text.lower().split()))
-            indptr.append(len(term_ids))
-    # Line numbers run from 1 with none left out, so the last one counts the lines.
-    skipped = number - (len(indptr) - 1)
+    lines = 0
+    for run in _line_runs(source):
+        lines += len(run)
+        rows = [text.lower().split() for text in run if text]
+        indptr.fromlist(list(map(len, rows)))
+        term_ids.fromlist(list(map(table.__getitem__, chain.from_iterable(rows))))
+    skipped = lines - (len(indptr) - 1)
     if skipped:
         logger.warning("skipped %d blank line(s)", skipped)
     terms = table.terms
     del table
     indptr = np.frombuffer(indptr, np.int64)
+    np.cumsum(indptr, out=indptr)
     term_ids = _drop_empty_pieces(np.frombuffer(term_ids, np.int64), indptr)
     return Corpus(Vocabulary._of_distinct(terms), indptr, term_ids)

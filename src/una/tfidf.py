@@ -20,10 +20,12 @@ numpy's np.log1p and np.log differ from them in the last place for about
 1% of arguments, which would change the model bytes.
 
 Scores repeat heavily: idf depends on a term's document frequency alone,
-and tf on a ratio c/n of small counts. So each conversion runs once per
-distinct value and is gathered back: the logarithms per distinct c/n and
-df, save_model's repr per distinct bit pattern, and load_model's float()
-per distinct score text of a chunk.
+and tf on a ratio c/n of small counts, most often 1/n. So each conversion
+runs once per distinct value and is gathered back: the logarithms per
+distinct row length n (for the terms that occur once in their row), per
+distinct c/n of the other terms and per distinct df, save_model's repr
+per distinct bit pattern, and load_model's float() per distinct score
+text of a chunk.
 """
 
 from __future__ import annotations
@@ -153,10 +155,14 @@ def _row_tfs(indptr: np.ndarray, term_ids: np.ndarray, m: int) -> tuple[np.ndarr
     rows = np.repeat(np.arange(lengths.size), lengths)
     keys, counts = np.unique(rows * m + term_ids, return_counts=True)
     rows, terms = np.divmod(keys, m)
-    # Sentences are short, so the ratios c/n take few distinct values
-    # and math.log1p (see the module docstring) runs once per value.
-    ratios, inverse = np.unique(counts / lengths[rows], return_inverse=True)
-    tfs = np.array([math.log1p(ratio) for ratio in ratios.tolist()])[inverse]
+    # math.log1p (see the module docstring) runs once per distinct row
+    # length n > 0, for the terms that occur once in their row, and once
+    # per distinct ratio c/n of the rest, which are few: sentences are short.
+    sizes, size_index = np.unique(lengths, return_inverse=True)
+    tfs = np.array([math.log1p(1 / n) if n else 0.0 for n in sizes.tolist()])[size_index][rows]
+    repeated = np.flatnonzero(counts > 1)
+    ratios, inverse = np.unique(counts[repeated] / lengths[rows[repeated]], return_inverse=True)
+    tfs[repeated] = np.array([math.log1p(ratio) for ratio in ratios.tolist()])[inverse]
     return rows, terms, tfs
 
 

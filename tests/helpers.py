@@ -20,18 +20,24 @@ from una.corpus import Corpus, CorpusDecodeError, Document, Vocabulary, tokenize
 from una.tfidf import ModelFormatError, TfIdfModel
 
 
+def reference_trim_punctuation(piece: str) -> str:
+    """Trim category-P* characters from both ends, one category lookup
+    per character, ASCII or not."""
+    start, end = 0, len(piece)
+    while start < end and unicodedata.category(piece[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
+        end -= 1
+    return piece[start:end]
+
+
 def reference_tokenize(text: str) -> list[str]:
     """The tokenizer's definition, one piece at a time: split on
     whitespace, trim category-P* characters from both ends, lowercase, and
     drop pieces that end up empty."""
     tokens = []
     for piece in text.split():
-        start, end = 0, len(piece)
-        while start < end and unicodedata.category(piece[start]).startswith("P"):
-            start += 1
-        while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
-            end -= 1
-        piece = piece[start:end].lower()
+        piece = reference_trim_punctuation(piece).lower()
         if piece:
             tokens.append(piece)
     return tokens

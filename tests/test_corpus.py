@@ -1,6 +1,7 @@
 """Tokenizer, vocabulary, and corpus loading behavior."""
 
 import io
+import random
 import sys
 import tempfile
 import time
@@ -19,10 +20,13 @@ from helpers import (
     reference_load_corpus,
     reference_read_lines,
     reference_tokenize,
+    reference_trim_punctuation,
 )
 from una import corpus as corpus_module
 from una.corpus import (
     _COMPACT_CHUNK,
+    _READ_BYTES,
+    _trim_punctuation,
     Corpus,
     CorpusDecodeError,
     Document,
@@ -144,6 +148,22 @@ class TestTokenizeFastPath:
         for char in punctuation:
             assert (char + "Σ").lower() == char + "σ", repr(char)
             assert ("AΣ" + char).lower() == "aς" + char, repr(char)
+
+    def test_trim_punctuation_on_every_code_point(self):
+        # ASCII punctuation is stripped before any category is looked up;
+        # each code point alone, beside a letter, around a comma and
+        # behind one must trim as the category loop trims it.
+        chars = [chr(code_point) for code_point in range(sys.maxunicode + 1)]
+        for shape in ("{}", "a{}", "{}a", "{0},{0}", ",{}a."):
+            pieces = [shape.format(char) for char in chars]
+            got, want = list(map(_trim_punctuation, pieces)), list(map(reference_trim_punctuation, pieces))
+            assert got == want, next(piece for piece, a, b in zip(pieces, got, want) if a != b)
+
+    @pytest.mark.parametrize(
+        "piece", ["«,x.»", "—(—", "(«x»)", ".«».", "¿¡x!?", "x.»", "«.x", ",—a—,", "a—", "«", ",", "x"]
+    )
+    def test_trim_punctuation_of_mixed_ascii_and_other_punctuation(self, piece):
+        assert _trim_punctuation(piece) == reference_trim_punctuation(piece)
 
     @settings(max_examples=500)
     @given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), max_size=60))
@@ -300,6 +320,55 @@ class TestLoadCorpusOracle:
         corpus = load_corpus(io.StringIO(text))
         assert corpus.term_ids.size == 4 * len(lines) > _COMPACT_CHUNK
         self.check(text)
+
+
+def _block_edge_text() -> str:
+    """Lines of 1 to 40 pieces, some blank and some ending in CRLF, long
+    enough that lines straddle several of the reader's block edges."""
+    rng = random.Random(16)
+    pieces = _EMPTY_PIECES + _WORD_PIECES + ["Naïve", "straße", "«Ünï»", "w1", "W2", "x3,"]
+    lines = []
+    for _ in range(2000):
+        line = " ".join(rng.choice(pieces) for _ in range(rng.randint(1, 40)))
+        lines.append(rng.choice(["", line, line, line + "\r"]))
+    return "\n".join(lines) + "\n"
+
+
+_SOURCE_TEXTS = {
+    "block-edges": _block_edge_text(),
+    # one line longer than three read blocks, its pieces repeating
+    "long-line": "First line.\n" + " ".join(f"Lông{k % 500}." for k in range(8000)) + "\nlast, line",
+    "blank-kinds": "\n".join(["a b", "", "   ", "\t \u3000", "\r", "\r\r", "—", "- -- ... «»", "c", ""]),
+}
+
+
+class TestLoadCorpusSources:
+    """load_corpus reads a path, a binary stream and a text stream into the
+    terms, offsets, ids and blank-line warning of tokenizing each line."""
+
+    def test_block_edges_fall_inside_lines(self):
+        data = _SOURCE_TEXTS["block-edges"].encode()
+        edges = range(_READ_BYTES, len(data), _READ_BYTES)
+        assert len(edges) >= 3 and all(b"\n" not in data[edge - 1 : edge + 1] for edge in edges)
+        assert max(map(len, _SOURCE_TEXTS["long-line"].encode().split(b"\n"))) > 3 * _READ_BYTES
+
+    @pytest.mark.parametrize("name", list(_SOURCE_TEXTS))
+    def test_matches_per_line_tokenize(self, tmp_path, caplog, name):
+        text = _SOURCE_TEXTS[name]
+        lines, blanks = reference_read_lines(io.StringIO(text))
+        rows = [tokenize(line) for _, line in lines]
+        terms = list(dict.fromkeys(token for row in rows for token in row))
+        ids = {term: term_id for term_id, term in enumerate(terms)}
+        warnings = [f"skipped {blanks} blank line(s)"] if blanks else []
+        want = terms, np.cumsum([0, *map(len, rows)]).tolist(), [ids[t] for row in rows for t in row], warnings
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode())
+        for source in (path, io.BytesIO(text.encode()), io.StringIO(text)):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="una.corpus"):
+                corpus = load_corpus(source)
+            got = corpus.vocabulary.terms, corpus.indptr.tolist(), corpus.term_ids.tolist(), caplog.messages
+            assert got == want, type(source).__name__
 
 
 class TestCorpusLayout:

@@ -129,6 +129,20 @@ def _assert_bit_equal(actual: np.ndarray, expected: np.ndarray):
     assert np.array_equal(actual, expected) and actual.tobytes() == expected.tobytes()
 
 
+def _every_length_rows() -> list[list[str]]:
+    """Token lists over t0..t59: one of every length from 1 to 300, whose
+    terms come from pools of random size, so that counts c > 1 give many
+    ratios c/n; between them empty rows and rows of one term repeated."""
+    rng = np.random.default_rng(300)
+    rows = [[], ["t0"] * 5, [], ["t1"] * 300]
+    for n in range(1, 301):
+        pool = min(60, int(rng.integers(1, n + 1)))
+        rows.append([f"t{k}" for k in rng.integers(pool, size=n)])
+        if n % 60 == 0:
+            rows += [[], [f"t{n // 60}"] * n]
+    return rows
+
+
 def _irregular_corpus(rng: np.random.Generator, n_docs: int) -> Corpus:
     """Random documents with empty ones, out-of-vocabulary tokens, and
     vocabulary terms that occur in no document."""
@@ -189,6 +203,9 @@ class TestFitChunks:
 
     def test_sample_corpus(self, chunk_docs):
         self.assert_matches_reference(load_corpus(SAMPLE_CORPUS))
+
+    def test_every_row_length_and_repeated_terms(self, chunk_docs):
+        self.assert_matches_reference(corpus_from_token_lists(_every_length_rows()))
 
 
 class TestSentenceScores:
@@ -279,24 +296,16 @@ class TestBatchScoresDifferential:
     @settings(max_examples=200, deadline=None)
     @given(_model_and_batch())
     def test_score_columns(self, model_and_batch):
-        # The batch's token ids, -1 for out-of-vocabulary tokens, and its
-        # (row, term, score) columns against the Counter oracle times idf.
-        model, batch = model_and_batch
-        vocabulary = model.vocabulary
-        indptr = np.cumsum([0] + [len(tokens) for tokens in batch])
-        ids = vocabulary.ids([token for tokens in batch for token in tokens])
-        assert ids.dtype == np.int64
-        assert ids.tolist() == [vocabulary.get(t) if t in vocabulary else -1 for tokens in batch for t in tokens]
-        rows, terms, scores = tfidf._score_columns(model, indptr, ids)
-        want_rows, want_terms, want_scores = [], [], []
-        for row, tokens in enumerate(batch):
-            term_ids, tfs = reference_term_frequencies(vocabulary, tokens)
-            want_rows += [row] * len(term_ids)
-            want_terms += term_ids
-            want_scores.append(np.array(tfs, dtype=np.float64) * model.idf[np.array(term_ids, dtype=np.int64)])
-        _assert_bit_equal(rows, np.array(want_rows, dtype=np.int64))
-        _assert_bit_equal(terms, np.array(want_terms, dtype=np.int64))
-        _assert_bit_equal(scores, np.concatenate([np.zeros(0), *want_scores]))
+        _check_score_columns(*model_and_batch)
+
+    def test_score_columns_of_every_row_length(self):
+        # With every idf 1 the scores are the tfs, each checked against
+        # math.log1p(c / n) of its own row. Unknown tokens change the
+        # length n of their row, and a row of unknown tokens alone has n = 0.
+        rng = np.random.default_rng(5)
+        rows = _every_length_rows()
+        batch = [["oov"] * 3] + [[t if rng.random() < 0.8 else "oov" for t in tokens] for tokens in rows]
+        _check_score_columns(synthetic_model(np.zeros(60)), batch)
 
     def test_empty_vocabulary(self):
         model = synthetic_model([])
@@ -306,6 +315,26 @@ class TestBatchScoresDifferential:
     def test_single_term_vocabulary(self):
         model = synthetic_model([0.5], [0.75])
         _assert_matches_reference_scores(model, [["t0"], [], ["t0", "oov", "t0"], ["oov"], ["t0"] * 7])
+
+
+def _check_score_columns(model: TfIdfModel, batch: list[list[str]]):
+    """The batch's token ids, -1 for out-of-vocabulary tokens, and its
+    (row, term, score) columns against the Counter oracle times idf."""
+    vocabulary = model.vocabulary
+    indptr = np.cumsum([0] + [len(tokens) for tokens in batch])
+    ids = vocabulary.ids([token for tokens in batch for token in tokens])
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [vocabulary.get(t) if t in vocabulary else -1 for tokens in batch for t in tokens]
+    rows, terms, scores = tfidf._score_columns(model, indptr, ids)
+    want_rows, want_terms, want_scores = [], [], []
+    for row, tokens in enumerate(batch):
+        term_ids, tfs = reference_term_frequencies(vocabulary, tokens)
+        want_rows += [row] * len(term_ids)
+        want_terms += term_ids
+        want_scores.append(np.array(tfs, dtype=np.float64) * model.idf[np.array(term_ids, dtype=np.int64)])
+    _assert_bit_equal(rows, np.array(want_rows, dtype=np.int64))
+    _assert_bit_equal(terms, np.array(want_terms, dtype=np.int64))
+    _assert_bit_equal(scores, np.concatenate([np.zeros(0), *want_scores]))
 
 
 class TestSerialization:
