@@ -26,37 +26,44 @@ distinct row length n (for the terms that occur once in their row), per
 distinct c/n of the other terms and per distinct df, save_model's repr
 per distinct bit pattern, and load_model's float() per distinct score
 text of a chunk.
+
+load_model has one path that accepts a file: each section is checked as
+columns, the term lines a chunk at a time (_term_columns). A line-by-line
+scan of a section runs only when the columns fail, to name the first bad
+line.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, _line_runs, tokenize
+from .corpus import Corpus, Vocabulary, _line_runs, _trim_punctuation, tokenize
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "٣", which int() reads.
 _HEADER_RE = re.compile(r"^UNA-TFIDF v1 N=([0-9]+) m=([0-9]+)$")
 
-# Term lines as save_model writes them, joined by newlines: a term with
-# alphanumeric ends ([^\W_] is str.isalnum()) and no whitespace, then two
-# score texts of [0-9.e+-], which float() and array checks finish. The
-# pattern is compiled on first use (re caches it), not at import.
-_TERM_LINE = r"[^\W_]\S*(?<=[^\W_])\t[0-9.e+-]+\t[0-9.e+-]+"
+# Term lines, joined by newlines, of three fields: a term without
+# whitespace, then two score texts of [0-9.eE+-], the only characters of a
+# plain text that float() reads as finite and >= 0; float() and array
+# checks finish them. The pattern is compiled on first use (re caches
+# it), not at import.
+_TERM_LINE = r"\S+\t[0-9.eE+-]+\t[0-9.eE+-]+"
 _TERM_SECTION = rf"{_TERM_LINE}(?:\n{_TERM_LINE})*"
 
-# Term lines that load_model reads from the file, splits, parses (each
-# distinct score text once) or whose score texts it checks, at once: enough
-# to keep the work off each field, few enough that holding them, and the
-# chunk's text-to-float memo, costs little.
-_SCORE_CHECK_LINES = 1024
+# Term lines that load_model reads from the file, splits and parses (each
+# distinct score text once) at once: enough to keep the work off each
+# field, few enough that holding them, and the chunk's text-to-float memo,
+# costs little.
+_TERM_CHUNK_LINES = 1024
 
 # Characters of the rank section that load_model splits into ids at once.
 _RANK_PIECE_CHARS = 1 << 14
@@ -287,104 +294,82 @@ def save_model(model: TfIdfModel, sink) -> None:
     sink.write("\n")
 
 
-def _parse_score(value: str, line_number: int, label: str) -> float:
+def _parse_score(text: str, line_number: int, label: str) -> float:
+    """A score text's value; it must be finite and >= 0, and the text
+    plain: ASCII, without underscores or whitespace. float() also reads
+    "1_0", " 0.25 " and non-ASCII digits, which save_model would write
+    back differently."""
     try:
-        parsed = float(value)
+        value = float(text)
     except ValueError:
-        raise ModelFormatError(line_number, f"bad {label} value {value!r}") from None
-    if not math.isfinite(parsed) or parsed < 0:
-        raise ModelFormatError(line_number, f"{label} must be finite and >= 0, got {value}")
-    return parsed
-
-
-def _plain_score_text(text: str) -> bool:
-    """Whether text is ASCII and holds no underscore or whitespace.
-
-    float() also reads "1_0", " 0.25 " and non-ASCII digits, which
-    save_model would write back differently.
-    """
-    return text.isascii() and "_" not in text and text.split() == [text]
-
-
-def _check_score_texts(score_texts: list[str], first_line_number: int) -> None:
-    """Reject the first text that float() read but that is not plain.
-
-    score_texts holds the idf and max_score texts of consecutive lines in
-    turn. One check covers them all joined; only when it fails are they
-    scanned one by one to name the line.
-    """
-    if _plain_score_text("".join(score_texts)):
-        return
-    for index, text in enumerate(score_texts):
-        if not _plain_score_text(text):
-            label = ("idf", "max_score")[index % 2]
-            raise ModelFormatError(first_line_number + index // 2, f"bad {label} value {text!r}")
+        raise ModelFormatError(line_number, f"bad {label} value {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise ModelFormatError(line_number, f"{label} must be finite and >= 0, got {text}")
+    if not (text.isascii() and "_" not in text and text.split() == [text]):
+        raise ModelFormatError(line_number, f"bad {label} value {text!r}")
+    return value
 
 
 def _term_columns(text: str, ids: dict[str, int]) -> tuple[list[str], np.ndarray, np.ndarray] | None:
     """A chunk of term lines, joined by newlines, as (terms, idf, max_score)
-    if the regex gate and array checks accept every line, else None.
+    if _scan_terms would find no bad line in it, else None.
 
-    Lowercase lines that _TERM_SECTION matches hold terms that tokenize
-    to themselves and plain score texts; left to check are scores that
-    float() rejects or reads as negative or infinite, and terms that
-    repeat one of ids (the terms before the chunk) or of the chunk. The
-    chunk's terms are added to ids, some of them even when a repeat
-    gives None.
+    Lines that _TERM_SECTION matches have three fields, a term without
+    whitespace and plain score texts. Left to check are terms that are not
+    their own lowercase or that trimming would shorten (only a term that
+    is not alphanumeric can be), scores that float() rejects or reads as
+    negative or infinite, and terms that repeat one of ids (the terms
+    before the chunk) or of the chunk. ids gains the chunk's terms that it
+    lacks, even when a repeat then gives None, and keeps the ids it holds.
     """
-    if re.fullmatch(_TERM_SECTION, text) is None or text.lower() != text:
+    if re.fullmatch(_TERM_SECTION, text) is None:
         return None
     cells = text.replace("\n", "\t").split("\t")
     terms, idf_texts, score_texts = cells[0::3], cells[1::3], cells[2::3]
+    term_text = "".join(terms)
+    if term_text.lower() != term_text or any(
+        _trim_punctuation(term) != term for term in filterfalse(str.isalnum, terms)
+    ):
+        return None
     # Each distinct score text of the chunk is parsed once.
     distinct = {*idf_texts, *score_texts}
     try:
         parsed = dict(zip(distinct, map(float, distinct)))
     except ValueError:
         return None
-    idf_values = np.fromiter(map(parsed.__getitem__, idf_texts), np.float64, len(terms))
-    max_score = np.fromiter(map(parsed.__getitem__, score_texts), np.float64, len(terms))
-    if not all(np.isfinite(s).all() and (s >= 0).all() for s in (idf_values, max_score)):
+    values = np.fromiter(map(parsed.__getitem__, chain(idf_texts, score_texts)), np.float64, 2 * len(terms))
+    if not 0 <= values.min() <= values.max() < math.inf:  # a NaN fails too
         return None
+    # setdefault keeps the id of a term that ids holds already, so a
+    # repeat leaves ids short; the deque only runs the map.
     first = len(ids)
-    ids.update(zip(terms, range(first, first + len(terms))))
+    deque(map(ids.setdefault, terms, range(first, first + len(terms))), maxlen=0)
     if len(ids) != first + len(terms):
         return None
-    return terms, idf_values, max_score
+    return terms, values[: len(terms)], values[len(terms) :]
 
 
-def _scan_terms(term_lines: list[str], ids: dict[str, int]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """A chunk of term lines checked line by line: it raises on
-    the first bad line, naming what _term_columns rejects, and accepts
-    terms such as "+" that tokenize to themselves without alphanumeric
-    ends. ids holds the terms before the chunk and gains its terms; the
-    score texts are checked to be plain once every line has passed."""
-    first, m = len(ids), len(term_lines)
-    terms = []
-    idf_values = np.zeros(m, dtype=np.float64)
-    max_score = np.zeros(m, dtype=np.float64)
-    score_texts = []
-    for index, line in enumerate(term_lines):
-        line_number = 2 + first + index
+def _scan_terms(term_lines: list[str], first: int, ids: dict[str, int]) -> NoReturn:
+    """Raise the error of the first bad line of a chunk of term lines,
+    checked line by line. ids maps the terms before the chunk, of which
+    there are first, to ids below first; it may hold the chunk's terms
+    too, at first or above."""
+    seen = set()
+    for line_number, line in enumerate(term_lines, start=2 + first):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ModelFormatError(line_number, f"expected 3 tab-separated fields, got {len(fields)}")
         term, idf_text, score_text = fields
-        # Augmented sentences are written as space-joined terms, so each term
-        # must read back as exactly itself. A lowercase alphanumeric term
-        # does: tokenize keeps a piece with alphanumeric ends whole, and no
-        # alphanumeric character is whitespace.
-        if not (term.isalnum() and term.lower() == term) and tokenize(term) != [term]:
+        # Augmented sentences are written as space-joined terms, so each
+        # term must read back as exactly itself.
+        if tokenize(term) != [term]:
             raise ModelFormatError(line_number, f"term {term!r} is not a single token")
-        if term in ids:
+        if term in seen or ids.get(term, first) < first:
             raise ModelFormatError(line_number, f"duplicate term {term!r}")
-        ids[term] = first + index
-        terms.append(term)
-        idf_values[index] = _parse_score(idf_text, line_number, "idf")
-        max_score[index] = _parse_score(score_text, line_number, "max_score")
-        score_texts += idf_text, score_text
-    _check_score_texts(score_texts, 2 + first)
-    return terms, idf_values, max_score
+        seen.add(term)
+        _parse_score(idf_text, line_number, "idf")
+        _parse_score(score_text, line_number, "max_score")
+    raise AssertionError("_term_columns rejected a chunk that has no bad line")
 
 
 def _rank_ids(rank_text: str, max_score: np.ndarray) -> np.ndarray | None:
@@ -467,31 +452,28 @@ def _truncated(line_count: int) -> ModelFormatError:
 def _read_terms(lines: Iterator[str], m: int) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     """The term section, the next m lines, as (vocabulary, idf, max_score).
 
-    It is read _SCORE_CHECK_LINES lines at a time, so that one chunk's
-    text is held beside the kept terms and scores, not the section's:
-    _term_columns reads a chunk, and only a chunk that it rejects is
-    scanned line by line. Before a chunk's error is raised the rest of the
-    file is counted, so that a file too short for its m term lines and
-    rank header is reported as truncated, whatever its term lines hold.
+    It is read _TERM_CHUNK_LINES lines at a time, so that one chunk's
+    text is held beside the kept terms and scores, not the section's.
+    _term_columns reads every chunk of a valid section. The first chunk
+    that it rejects ends the read: the rest of the file is counted, so
+    that a file too short for its m term lines and rank header is
+    reported as truncated, whatever its term lines hold, and otherwise
+    _scan_terms names the chunk's first bad line.
     """
     terms, ids = [], {}
     idf_parts, score_parts = [np.zeros(0)], [np.zeros(0)]
-    for start in range(0, m, _SCORE_CHECK_LINES):
-        size = min(_SCORE_CHECK_LINES, m - start)
+    for start in range(0, m, _TERM_CHUNK_LINES):
+        size = min(_TERM_CHUNK_LINES, m - start)
         chunk = list(islice(lines, size))
         line_count = 1 + start + len(chunk)
         if len(chunk) < size:
             raise _truncated(line_count)
         columns = _term_columns("\n".join(chunk), ids)
         if columns is None:
-            ids = dict(zip(terms, range(start)))  # without the rejected chunk's terms
-            try:
-                columns = _scan_terms(chunk, ids)
-            except ModelFormatError:
-                line_count += sum(1 for _ in lines)
-                if line_count < m + 2:
-                    raise _truncated(line_count) from None
-                raise
+            line_count += sum(1 for _ in lines)
+            if line_count < m + 2:
+                raise _truncated(line_count)
+            _scan_terms(chunk, start, ids)
         terms += columns[0]
         idf_parts.append(columns[1])
         score_parts.append(columns[2])

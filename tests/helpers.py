@@ -91,14 +91,13 @@ def reference_save_model(model: TfIdfModel, sink) -> None:
 def reference_load_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
     """load_model's term section read line by line, the oracle of its
     regex-gated column parse of each chunk: split each line on tabs, check the term
-    tokenizes to itself and is new, parse both scores, and check the score
-    texts are plain a chunk of lines at a time. Raises ModelFormatError
-    naming the first bad line."""
+    tokenizes to itself and is new, and parse both scores, each of which
+    must be finite, >= 0 and plain. Raises ModelFormatError naming the
+    first bad line."""
     m = len(term_lines)
     vocabulary = Vocabulary()
     idf_values = np.zeros(m, dtype=np.float64)
     max_score = np.zeros(m, dtype=np.float64)
-    score_texts = []
     for term_id, line in enumerate(term_lines):
         line_number = 2 + term_id
         fields = line.split("\t")
@@ -112,10 +111,6 @@ def reference_load_terms(term_lines: list[str]) -> tuple[Vocabulary, np.ndarray,
         vocabulary.add(term)
         idf_values[term_id] = tfidf._parse_score(idf_text, line_number, "idf")
         max_score[term_id] = tfidf._parse_score(score_text, line_number, "max_score")
-        score_texts += idf_text, score_text
-        if len(score_texts) == 2 * tfidf._SCORE_CHECK_LINES or term_id == m - 1:
-            tfidf._check_score_texts(score_texts, line_number + 1 - len(score_texts) // 2)
-            score_texts.clear()
     return vocabulary, idf_values, max_score
 
 

@@ -504,7 +504,8 @@ class TestRankSectionChecks:
 
     @pytest.mark.parametrize("last", ["003", "0" * 30 + "3"])
     def test_leading_zeros_read_as_their_value(self, last):
-        # The second id overflows int64 as text, so only the scan reads it.
+        # Both are read by the array checks, which take "0" * 30 + "3" as 3
+        # although the text is longer than any int64.
         model = load_model(io.StringIO(_HAND_MODEL + f"0 1 2 {last}\n"))
         assert model.rank_by_score.tolist() == [0, 1, 2, 3]
 
@@ -571,6 +572,13 @@ class TestPlainText:
         error = _load_error("\n".join(lines))
         assert (error.line_number, str(error)) == (3, f"line 3: bad {label} value {text!r}")
 
+    @pytest.mark.parametrize("text", ["-1_0", " inf", "1_0e999", "-\u0661"])
+    def test_range_is_checked_before_plainness(self, two_doc_model, text):
+        lines = _saved(save_model, two_doc_model).split("\n")
+        lines[2] = f"b\t{text}\t0.1"
+        error = _load_error("\n".join(lines))
+        assert (error.line_number, str(error)) == (3, f"line 3: idf must be finite and >= 0, got {text}")
+
     def test_first_bad_score_text_is_named(self, two_doc_model):
         buffer = io.StringIO()
         save_model(two_doc_model, buffer)
@@ -579,9 +587,19 @@ class TestPlainText:
         lines[3] = "c\t0.5\t 0.1"
         assert str(_load_error("\n".join(lines))) == "line 3: bad idf value '1_0'"
 
+    def test_bad_score_text_named_before_a_later_fault(self):
+        # Each score text is checked where it is parsed, so the bad idf of
+        # line 2 is named, not the missing field of line 4 in its chunk.
+        lines = _HAND_MODEL.split("\n")
+        lines[1] = "w\t1_0\t0.1"
+        lines[3] = "y\t1.0"
+        text = "\n".join(lines) + "0 1 2 3\n"
+        want = ("error", 2, "line 2: bad idf value '1_0'")
+        assert _load_outcome(text) == _load_outcome(text, reference_load_model) == want
+
     def test_bad_score_text_named_across_check_chunks(self):
-        # Score texts are checked a chunk of lines at a time.
-        chunk = tfidf._SCORE_CHECK_LINES
+        # The term section is read a chunk of lines at a time.
+        chunk = tfidf._TERM_CHUNK_LINES
         m = 2 * chunk + 5
         rows = [f"t{term_id}\t1.0\t0.5" for term_id in range(m)]
         ranks = "ranks:\n" + " ".join(map(str, range(m))) + "\n"
@@ -640,7 +658,10 @@ class TestTermColumns:
     """load_model, which reads the term section in chunks through a
     regex-gated column parse, against the whole-text oracle in helpers."""
 
-    TERMS = ["the", "ba-loki", "x-45c", "don't", "ärger", "日本", "straße", "a", "7", "naïve", "q2"]
+    # Terms of every kind that tokenize keeps, "+", "$5", "a+" and "©"
+    # among them: their ends are not alphanumeric.
+    TERMS = ["the", "ba-loki", "x-45c", "don't", "ärger", "日本", "straße", "a", "7", "naïve", "q2",
+             "+", "$5", "a+", "©"]
 
     @pytest.fixture
     def saved(self):
@@ -651,11 +672,11 @@ class TestTermColumns:
 
     @pytest.fixture(params=[None, 4, 1], ids=["chunk-default", "chunk-4", "chunk-1"])
     def chunk_lines(self, request, monkeypatch):
-        """Term lines per chunk: the default, which holds all 11 of saved's,
+        """Term lines per chunk: the default, which holds all of saved's,
         or few enough that saved's term section spans several chunks."""
         if request.param is not None:
-            monkeypatch.setattr(tfidf, "_SCORE_CHECK_LINES", request.param)
-        return tfidf._SCORE_CHECK_LINES
+            monkeypatch.setattr(tfidf, "_TERM_CHUNK_LINES", request.param)
+        return tfidf._TERM_CHUNK_LINES
 
     def assert_matches_loop(self, text):
         got = _load_outcome(text)
@@ -701,18 +722,20 @@ class TestTermColumns:
 
     @pytest.mark.parametrize("chunk", [4, 1])
     def test_random_edits_match_loop_in_small_chunks(self, saved, monkeypatch, chunk):
-        monkeypatch.setattr(tfidf, "_SCORE_CHECK_LINES", chunk)
+        monkeypatch.setattr(tfidf, "_TERM_CHUNK_LINES", chunk)
         texts = _random_edits(saved, np.random.default_rng(6), 400)
         assert {self.assert_matches_loop(text)[0] for text in texts} == {"error", "model"}
 
     @pytest.mark.parametrize("kept", [3, 8, 11, 12])
     def test_truncated_after_an_early_bad_line(self, saved, chunk_lines, kept):
         # Truncation is reported even when a term line before the cut, in
-        # an earlier chunk, is bad; kept counts the lines left after the
-        # header, so 11 keeps every term line and 12 the rank header too.
+        # an earlier chunk, is bad. The model keeps saved's first 11 terms
+        # and kept counts the lines left after the header, so 11 keeps
+        # every term line and 12 the rank header too.
         lines = saved.split("\n")
         term, _, score = lines[2].split("\t")
-        lines[2] = "\t".join([term, "1_0", score])
+        header = lines[0].replace(f" m={len(self.TERMS)}", " m=11")
+        lines = [header, lines[1], "\t".join([term, "1_0", score]), *lines[3:12], "ranks:"]
         text = "\n".join(lines[: 1 + kept]) + "\n"
         outcome = self.assert_matches_loop(text)
         if kept < 12:
@@ -743,10 +766,24 @@ class TestTermColumns:
         want = ("error", 6, "line 6: term 'ab\\rcd' is not a single token")
         assert _load_outcome(path, load_model) == _load_outcome(text, reference_load_model) == want
 
+    def test_symbol_ended_terms_in_every_chunk_take_the_column_path(self, monkeypatch):
+        # One symbol-ended term in each chunk of 4 lines; the line scan,
+        # which only names a fault, must not run.
+        def scan(term_lines, first, ids):
+            raise AssertionError(f"chunk at line {2 + first} was scanned")
+
+        monkeypatch.setattr(tfidf, "_TERM_CHUNK_LINES", 4)
+        monkeypatch.setattr(tfidf, "_scan_terms", scan)
+        symbols = ["+", "$5", "a+", "©", "x°", "<b>", "€", "±1"]
+        terms = [term for k, symbol in enumerate(symbols) for term in (symbol, f"w{k}", f"v{k}", f"u{k}")]
+        text = (f"UNA-TFIDF v1 N=3 m={len(terms)}\n" + "".join(f"{term}\t1.5\t0.25\n" for term in terms)
+                + "ranks:\n" + " ".join(map(str, range(len(terms)))) + "\n")
+        outcome = self.assert_matches_loop(text)
+        assert outcome[:2] == ("model", terms)
+
     def test_gate_classes_match_str_methods(self):
-        # The gate reads [^\W_] as str.isalnum() and \s as str.isspace().
+        # The gate reads \s as str.isspace(), the whitespace of str.split().
         text = "".join(map(chr, range(sys.maxunicode + 1)))
-        assert re.findall(r"[^\W_]", text) == [char for char in text if char.isalnum()]
         assert re.findall(r"\s", text) == [char for char in text if char.isspace()]
 
 
@@ -845,7 +882,7 @@ class TestDistinctValues:
         # 1e999 parses to inf: its first line is named, whether its repeat
         # lies in the same chunk of term lines or in a later one.
         if chunk is not None:
-            monkeypatch.setattr(tfidf, "_SCORE_CHECK_LINES", chunk)
+            monkeypatch.setattr(tfidf, "_TERM_CHUNK_LINES", chunk)
         m = 10
         lines = [f"t{k}\t1.5\t0.25" for k in range(m)]
         for line in bad_lines:
