@@ -49,6 +49,12 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   1-3, then `una eval` on that seed's dev pairs with the model fitted on
   it, at --dim 1, 7, 256 and 4096 and --encoder-seed 0 and 2**64 - 1,
   which writes only to standard output;
+- `una fit` on a corpus written by this script over 2,600 words, then
+  `una eval` on a pairs file written with it, at --dim 1 and 256: one
+  side holds all 2,600 words (its rows summed in three gathers) and one
+  1,025, some pairs have no in-vocabulary word on either side (skipped)
+  or on one side, and 300 more pairs span three of evaluate_pairs'
+  chunks;
 - the runs above with their settings read from a config file written by
   this script: `una augment` on the augment-guided input of seed 1 with
   the benchmark's flags and seed 1 from the file alone, and with the file
@@ -70,7 +76,7 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   that exits non-zero, which names the line and byte offset of a decode
   error.
 
-That is 355 files per side. The script prints how many are identical,
+That is 359 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -105,6 +111,8 @@ LOSS_DEMO_MULTI_WORD_SEEDS = (2**32 + 1, 2**64 - 1)
 LOSS_DEMO_DIMS = (1, 7, 4096)
 EVAL_DIMS = (1, 7, 256, 4096)
 EVAL_ENCODER_SEEDS = (0, 2**64 - 1)
+# Dims of `una eval` on the pairs file this script writes.
+WRITTEN_PAIRS_DIMS = (1, 256)
 # Batch sizes run besides the benchmark's 64 on one augment-guided input.
 BATCH_SIZES = (1, 7, 1000, 1500, 6000)
 # Flags run besides the benchmark's on the same input: batches off the
@@ -186,9 +194,38 @@ def write_repeated_terms_corpus(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_eval_inputs(corpus: Path, pairs: Path) -> None:
+    """A corpus of 1,260 lines over the words ev0 to ev2599, each of which
+    it holds, and 317 scored pairs of those words: one side of all 2,600
+    words, some repeated, one of 1,025, ten pairs out of vocabulary on both
+    sides, five on one side, and 300 of 1 to 12 words; golds are
+    multiples of 0.25, so they tie."""
+    rng = random.Random(0)
+    words = [f"ev{k}" for k in range(2600)]
+    lines = [" ".join(words[k : k + 10]) for k in range(0, len(words), 10)]
+    lines += [" ".join(rng.choices(words, k=rng.randint(3, 15))) for _ in range(1000)]
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def gold() -> str:
+        return str(rng.randint(0, 20) / 4)
+
+    def side() -> str:
+        return " ".join(rng.choices(words, k=rng.randint(1, 12)))
+
+    rows = [
+        (" ".join(rng.sample(words, len(words)) + words[:50]), side()),
+        (" ".join(rng.sample(words, 1025)), side()),
+        *((f"qx{k} qy{k}", f"qz{k}") for k in range(10)),
+        *((side(), f"qw{k}") for k in range(5)),
+        *((side(), side()) for _ in range(300)),
+    ]
+    rng.shuffle(rows)
+    pairs.write_text("".join(f"{a}\t{b}\t{gold()}\n" for a, b in rows), encoding="utf-8")
+
+
 def make_inputs(work: Path) -> None:
     """Write the punctuated, repeated-terms and zero-score corpora, the
-    config files, the bench/gen.py inputs of every workload for every
+    eval corpus and its pairs, the config files, the bench/gen.py inputs of every workload for every
     seed, the augment-guided input of seed 1 with an invalid UTF-8 last
     line, CRLF copies of the fit-corpus and augment-guided inputs of seed
     1, and that fit-corpus input with an invalid byte inserted past its
@@ -197,6 +234,7 @@ def make_inputs(work: Path) -> None:
     write_punctuated_corpus(work / "punctuated_corpus.txt")
     write_repeated_terms_corpus(work / "repeated_terms_corpus.txt")
     write_zero_score_corpus(work / "zero_score_corpus.txt")
+    write_eval_inputs(work / "eval_corpus.txt", work / "eval_pairs.tsv")
     for name, lines in CONFIG_FILES.items():
         (work / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     for workload in ("fit-corpus", "augment-guided", "train-eval"):
@@ -287,6 +325,10 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
                 evaluate = ["eval", "--pairs", str(train_eval / "dev_pairs.tsv"), "--model", str(out / model)]
                 flags = ["--dim", str(dim), "--encoder-seed", str(encoder_seed)]
                 matrix.append((f"eval-train-{seed}-d{dim}-e{encoder_seed}", [*evaluate, *flags]))
+    matrix.append(fit("fit-eval-corpus", inputs / "eval_corpus.txt"))
+    for dim in WRITTEN_PAIRS_DIMS:
+        evaluate = ["eval", "--pairs", str(inputs / "eval_pairs.tsv"), "--model", str(out / "fit-eval-corpus")]
+        matrix.append((f"eval-written-pairs-d{dim}", [*evaluate, "--dim", str(dim)]))
     source = inputs / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
     for label, flags in (("config", []), ("config-a3", ["--alpha", "3"])):
         name = f"augment-guided-{GEN_SEEDS[0]}-{label}"

@@ -226,8 +226,8 @@ def cmd_loss_demo(args) -> int:
 
     batch = pair_set.pairs[: min(args.batch_size, len(pair_set))]
     encoder = ToyEncoder(model.vocabulary, dim=args.dim, seed=args.seed)
-    anchors = [encoder(tokenize(anchor)) for anchor, _ in batch]
-    positives = [encoder(tokenize(positive)) for _, positive in batch]
+    anchors = encoder.encode_many([tokenize(anchor) for anchor, _ in batch])
+    positives = encoder.encode_many([tokenize(positive) for _, positive in batch])
 
     if args.una_mode != "with":
         loss_without = batch_loss(anchors, positives, config=contrastive_config)
@@ -235,7 +235,7 @@ def cmd_loss_demo(args) -> int:
     if args.una_mode != "without":
         documents = [Document.from_text(i, a) for i, (a, _) in enumerate(batch)]
         generated = augment_batch(model, documents, augment_config, augment_config.alpha)
-        una = [encoder(sentence.tokens) for sentence in generated.sentences]
+        una = encoder.encode_many([sentence.tokens for sentence in generated.sentences])
         loss_with = batch_loss(anchors, positives, una_negatives=una, config=contrastive_config)
         print(f"loss_with_una={loss_with!r}")
     return 0

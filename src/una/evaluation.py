@@ -3,18 +3,24 @@
 Pairs come from a TSV file (sentence_a, sentence_b, gold score). Both
 sides are embedded with a caller-supplied encoder, and agreement between
 the cosine similarities and the gold scores is measured with Spearman
-rank correlation (average ranks over ties).
+rank correlation (average ranks over ties). evaluate_pairs reads its
+pairs a bounded chunk at a time, embeds both sides of a chunk in one
+encode_many call and takes the chunk's cosines as stacked row dots, in
+cosine_similarity's order of operations; it keeps only a similarity and
+a gold score per pair.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contrastive import Encoder, PairsFormatError, cosine_similarity
+from .contrastive import PairsFormatError, ToyEncoder, row_dots
 from .corpus import Vocabulary, read_nonblank_lines, tokenize
 
 logger = logging.getLogger(__name__)
@@ -96,32 +102,60 @@ def load_scored_pairs(source) -> list[ScoredPair]:
     return pairs
 
 
+# Most pairs one chunk of evaluate_pairs holds, and the most embedding
+# cells (2 * pairs * dim floats) it may hold: at dims above 256 a chunk
+# holds fewer pairs, so its memory stays bounded at every --dim.
+EVAL_PAIRS = 128
+EVAL_CELLS = EVAL_PAIRS * 2 * 256
+
+
+def _cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """cosine_similarity of each row of u with the same row of v, in its
+    order of operations: dot(u, v) / (sqrt(dot(u, u)) * sqrt(dot(v, v)))."""
+    norm_u = np.sqrt(row_dots(u, u))
+    norm_v = np.sqrt(row_dots(v, v))
+    if not (norm_u.all() and norm_v.all()):
+        raise ValueError("cosine similarity is undefined for zero vectors")
+    return row_dots(u, v) / (norm_u * norm_v)
+
+
 def evaluate_pairs(
-    pairs: Sequence[ScoredPair],
-    encoder: Encoder,
+    pairs: Iterable[ScoredPair],
+    encoder: ToyEncoder,
     vocabulary: Vocabulary,
 ) -> EvalReport:
     """Correlate encoder cosine similarities with gold scores.
 
     Pairs where neither side has a single in-vocabulary token would be
     compared through the encoder's fallback vector on both sides; they are
-    skipped and counted instead of silently scored.
+    skipped and counted instead of silently scored. The pairs may come
+    from any iterable, which is read a chunk at a time.
     """
-    similarities = []
-    golds = []
+    chunk_size = max(1, min(EVAL_PAIRS, EVAL_CELLS // (2 * encoder.dim)))
+    similarities = array("d")
+    golds = array("d")
     skipped = 0
-    for pair in pairs:
-        tokens_a = tokenize(pair.sentence_a)
-        tokens_b = tokenize(pair.sentence_b)
-        if not any(t in vocabulary for t in tokens_a) and not any(
-            t in vocabulary for t in tokens_b
-        ):
-            skipped += 1
-            continue
-        similarities.append(cosine_similarity(encoder(tokens_a), encoder(tokens_b)))
-        golds.append(pair.gold)
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, chunk_size)):
+        sides_a = []
+        sides_b = []
+        for pair in chunk:
+            tokens_a = tokenize(pair.sentence_a)
+            tokens_b = tokenize(pair.sentence_b)
+            if not any(t in vocabulary for t in tokens_a) and not any(
+                t in vocabulary for t in tokens_b
+            ):
+                skipped += 1
+                continue
+            sides_a.append(tokens_a)
+            sides_b.append(tokens_b)
+            golds.append(pair.gold)
+        if sides_a:
+            embeddings = encoder.encode_many(sides_a + sides_b)
+            similarities.extend(_cosines(embeddings[: len(sides_a)], embeddings[len(sides_a) :]).tolist())
     if skipped:
         logger.warning("skipped %d pair(s) with no in-vocabulary tokens on either side", skipped)
     if len(similarities) < 2:
         raise EvalDataError(f"need at least 2 scoreable pairs, got {len(similarities)}")
-    return EvalReport(n_pairs=len(similarities), rho=spearman(similarities, golds), n_skipped=skipped)
+    rho = spearman(np.frombuffer(similarities), np.frombuffer(golds))
+    return EvalReport(n_pairs=len(similarities), rho=rho, n_skipped=skipped)

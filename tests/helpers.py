@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from una import tfidf
+from una import evaluation, tfidf
+from una.contrastive import cosine_similarity
 from una.corpus import Corpus, CorpusDecodeError, Document, Vocabulary, tokenize
+from una.evaluation import EvalDataError, EvalReport, spearman
 from una.tfidf import ModelFormatError, TfIdfModel
 
 
@@ -350,6 +352,28 @@ def reference_encode(encoder, tokens) -> np.ndarray:
     if norm == 0.0:
         return fallback
     return total / norm
+
+
+def reference_evaluate_pairs(pairs, encoder, vocabulary) -> EvalReport:
+    """evaluate_pairs one pair at a time, the oracle of its chunked
+    columns: tokenize both sides, skip a pair with no in-vocabulary token
+    on either side, encode each side alone and take cosine_similarity."""
+    similarities = []
+    golds = []
+    skipped = 0
+    for pair in pairs:
+        tokens_a = tokenize(pair.sentence_a)
+        tokens_b = tokenize(pair.sentence_b)
+        if not any(t in vocabulary for t in tokens_a) and not any(t in vocabulary for t in tokens_b):
+            skipped += 1
+            continue
+        similarities.append(cosine_similarity(encoder.encode(tokens_a), encoder.encode(tokens_b)))
+        golds.append(pair.gold)
+    if skipped:
+        evaluation.logger.warning("skipped %d pair(s) with no in-vocabulary tokens on either side", skipped)
+    if len(similarities) < 2:
+        raise EvalDataError(f"need at least 2 scoreable pairs, got {len(similarities)}")
+    return EvalReport(n_pairs=len(similarities), rho=spearman(similarities, golds), n_skipped=skipped)
 
 
 def spearman_oracle(xs, ys) -> float:

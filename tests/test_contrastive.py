@@ -3,11 +3,15 @@
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_encode, reference_term_vector
+from una import contrastive
 from una.contrastive import (
     GATHER_ROWS,
     ContrastiveConfig,
@@ -17,6 +21,7 @@ from una.contrastive import (
     cosine_similarity,
     info_nce,
     load_pairs,
+    row_dots,
 )
 from una.corpus import Vocabulary
 
@@ -25,6 +30,22 @@ def basis(dim, index):
     v = np.zeros(dim)
     v[index] = 1.0
     return v
+
+
+def test_row_dots_match_ndarray_dot_bit_for_bit():
+    """row_dots stands in for ndarray.dot in encode_many's norms and in
+    evaluate_pairs' cosines. A numpy or BLAS build whose stacked matmul
+    sums in another order than its dot fails here by name, instead of
+    moving rho in the last bits."""
+    rng = np.random.default_rng(21)
+    differing = []
+    for dim in [*range(1, 301), 1024, 4096]:
+        a, b = rng.standard_normal((2, 9, dim))
+        expected = [u.dot(v) for u, v in zip(a, b)] + [u.dot(u) for u in a] + [float(u @ v) for u, v in zip(a, b)]
+        got = [*row_dots(a, b).tolist(), *row_dots(a, a).tolist(), *row_dots(a, b).tolist()]
+        if np.array(got).tobytes() != np.array(expected).tobytes():
+            differing.append(dim)
+    assert not differing, f"stacked matmul differs from ndarray.dot at dims {differing}"
 
 
 class TestCosineSimilarity:
@@ -296,7 +317,11 @@ class TestToyEncoder:
 
 
 def assert_same_bytes(encoder, tokens):
-    assert encoder.encode(tokens).tobytes() == reference_encode(encoder, tokens).tobytes()
+    expected = reference_encode(encoder, tokens).tobytes()
+    assert encoder.encode(tokens).tobytes() == expected
+    assert [row.tobytes() for row in encoder.encode_many([tokens, [], tokens])] == [
+        expected, encoder.encode([]).tobytes(), expected
+    ]
 
 
 class TestEncodeMatchesReference:
@@ -352,15 +377,73 @@ class TestEncodeMatchesReference:
 
     def test_whole_vocabulary_encode_allocates_little_beyond_the_table(self):
         terms = [f"t{k:05d}" for k in range(20_000)]
-        encoder = ToyEncoder(Vocabulary(terms), dim=256, seed=0)
         table_bytes = len(terms) * 256 * 8
-        tracemalloc.start()
-        try:
-            encoder.encode(terms)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - table_bytes <= 10 * 2**20
+        for encode in (ToyEncoder.encode, lambda encoder, tokens: encoder.encode_many([tokens])):
+            encoder = ToyEncoder(Vocabulary(terms), dim=256, seed=0)
+            tracemalloc.start()
+            try:
+                encode(encoder, terms)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - table_bytes <= 10 * 2**20
+
+
+@st.composite
+def encode_many_runs(draw):
+    """A vocabulary of 1 to 40 terms or of more than two gathers' worth,
+    a dim (often 1, where rows are +-1 and sums cancel to the fallback)
+    and seed, a block size in cells (small ones split a group of equally
+    wide sentences into several blocks), how many terms join the
+    vocabulary between two calls, and a generator seed for the token
+    lists."""
+    n_terms = draw(st.one_of(st.integers(1, 40), st.just(2 * GATHER_ROWS + 52)))
+    dim = draw(st.sampled_from([1, 1, 2, 3, 8, 64]))
+    seed = draw(st.sampled_from([0, 5, 2**64 - 1]))
+    cells = draw(st.one_of(st.just(contrastive.BLOCK_CELLS), st.integers(1, 200)))
+    return n_terms, dim, seed, cells, draw(st.integers(0, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+def mixed_token_lists(rng, terms: list[str]) -> list[list[str]]:
+    """Up to 12 token lists: empty, out of vocabulary only, few terms
+    repeated, many distinct terms (all of them at most), and mixed."""
+    lists = []
+    for _ in range(int(rng.integers(0, 13))):
+        kind = rng.integers(5)
+        if kind == 0:
+            lists.append([])
+        elif kind == 1:
+            lists.append(rng.choice(["oov1", "oov2"], size=int(rng.integers(1, 4))).tolist())
+        elif kind == 2:
+            lists.append(rng.choice(terms[:3], size=int(rng.integers(2, 9))).tolist())
+        elif kind == 3:
+            distinct = rng.permutation(terms)[: int(rng.integers(1, len(terms) + 1))].tolist()
+            lists.append(distinct + distinct[: int(rng.integers(0, 4))] + ["oov1"])
+        else:
+            lists.append(rng.choice(terms + ["oov1"], size=int(rng.integers(1, 30))).tolist())
+    return lists
+
+
+@settings(max_examples=150, deadline=None)
+@given(encode_many_runs())
+def test_encode_many_matches_encode(run):
+    """Row i of encode_many is encode(token_lists[i]), byte for byte, from
+    an encoder that has drawn no row yet and after the vocabulary grew."""
+    n_terms, dim, seed, cells, added, lists_seed = run
+    rng = np.random.default_rng(lists_seed)
+    terms = [f"t{k:04d}" for k in range(n_terms)]
+    vocabulary = Vocabulary(terms)
+    many = ToyEncoder(vocabulary, dim=dim, seed=seed)
+    one = ToyEncoder(vocabulary, dim=dim, seed=seed)
+    for _ in range(2):
+        token_lists = mixed_token_lists(rng, terms)
+        with mock.patch.object(contrastive, "BLOCK_CELLS", cells):
+            got = many.encode_many(token_lists)
+        assert got.shape == (len(token_lists), dim)
+        assert [row.tobytes() for row in got] == [one.encode(tokens).tobytes() for tokens in token_lists]
+        for k in range(added):  # new rows before, between and after the others
+            terms.append(f"{'a t0000x z'.split()[k % 3]}{k}")
+            vocabulary.add(terms[-1])
 
 
 class TestTermRows:

@@ -2,15 +2,21 @@
 
 import io
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import reference_average_ranks, spearman_oracle
+from helpers import reference_average_ranks, reference_evaluate_pairs, spearman_oracle
 from una.contrastive import PairsFormatError, ToyEncoder
-from una.corpus import Vocabulary
+from una.corpus import Vocabulary, load_corpus
 from una.evaluation import (
+    EVAL_CELLS,
+    EVAL_PAIRS,
     EvalDataError,
     ScoredPair,
     average_ranks,
@@ -18,6 +24,9 @@ from una.evaluation import (
     load_scored_pairs,
     spearman,
 )
+from una.tfidf import fit
+
+GEN = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
 
 
 class TestAverageRanks:
@@ -212,3 +221,81 @@ class TestEvaluatePairs:
         pairs = [ScoredPair("sun", "moon", 1.0), ScoredPair("qq", "ww", 2.0)]
         with pytest.raises(EvalDataError):
             evaluate_pairs(pairs, encoder, vocabulary)
+
+
+def random_pairs(count: int, terms: list[str], seed: int) -> list[ScoredPair]:
+    """Pairs of one to eight words; about one in six has no in-vocabulary
+    word on either side and one in six none on one side. Golds are
+    multiples of 0.25, so they tie."""
+    rng = np.random.default_rng(seed)
+    oov = ["qq", "ww", "ee"]
+
+    def side(pool):
+        return " ".join(rng.choice(pool, size=int(rng.integers(1, 9))).tolist())
+
+    pairs = []
+    for _ in range(count):
+        kind = rng.integers(6)
+        a = side(oov if kind == 0 else terms + oov)
+        b = side(oov if kind in (0, 1) else terms)
+        pairs.append(ScoredPair(a, b, float(rng.integers(0, 21)) / 4))
+    return pairs
+
+
+class TestEvaluatePairsMatchesReference:
+    """evaluate_pairs against the per-pair loop in helpers: the same
+    counts, the bits of rho and the same warning, at pair counts around
+    the chunk size and from a generator."""
+
+    TERMS = [f"w{k}" for k in range(60)] + ["Ärger", "日本"]
+
+    @staticmethod
+    def chunk_size(dim: int) -> int:
+        return min(EVAL_PAIRS, EVAL_CELLS // (2 * dim))
+
+    @pytest.mark.parametrize("dim", [1, 64, 4096])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("from_generator", [False, True])
+    def test_chunk_edges(self, dim, offset, from_generator, caplog):
+        vocabulary = Vocabulary([term.lower() for term in self.TERMS])
+        count = 3 * self.chunk_size(dim) + offset
+        pairs = random_pairs(count, vocabulary.terms, seed=dim + offset)
+        with caplog.at_level("WARNING"):
+            expected = reference_evaluate_pairs(pairs, ToyEncoder(vocabulary, dim=dim, seed=3), vocabulary)
+        expected_log = caplog.messages
+        caplog.clear()
+        source = (pair for pair in pairs) if from_generator else pairs
+        with caplog.at_level("WARNING"):
+            report = evaluate_pairs(source, ToyEncoder(vocabulary, dim=dim, seed=3), vocabulary)
+        assert caplog.messages == expected_log and expected_log
+        assert (report.n_pairs, report.n_skipped) == (expected.n_pairs, expected.n_skipped)
+        assert np.float64(report.rho).tobytes() == np.float64(expected.rho).tobytes()
+
+    def test_too_few_scoreable_pairs_after_chunks(self):
+        vocabulary = Vocabulary(["sun"])
+        pairs = [ScoredPair("qq", "ww", 1.0)] * (EVAL_PAIRS + 3) + [ScoredPair("sun", "qq", 2.0)]
+        with pytest.raises(EvalDataError, match="got 1"):
+            evaluate_pairs(iter(pairs), ToyEncoder(vocabulary, dim=8), vocabulary)
+
+
+@pytest.fixture(scope="module")
+def train_eval_inputs(tmp_path_factory):
+    """The benchmark's seed-1 train-eval model and dev pairs, as bench/gen.py writes them."""
+    out = tmp_path_factory.mktemp("train-eval-1")
+    subprocess.run([sys.executable, str(GEN), "--workload", "train-eval", "--seed", "1", "--out", str(out)], check=True)
+    return fit(load_corpus(out / "model_corpus.txt")), load_scored_pairs(out / "dev_pairs.tsv")
+
+
+def test_evaluate_pairs_memory_grows_by_less_than_64_bytes_a_pair(train_eval_inputs):
+    model, dev = train_eval_inputs
+    encoder = ToyEncoder(model.vocabulary, dim=256, seed=0)
+    evaluate_pairs(dev, encoder, model.vocabulary)  # draws the rows in use, outside the measure
+    peaks = {}
+    for times in (1, 16):
+        tracemalloc.start()
+        try:
+            evaluate_pairs((pair for _ in range(times) for pair in dev), encoder, model.vocabulary)
+            peaks[times] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] - peaks[1] < 64 * 15 * len(dev), peaks
