@@ -72,11 +72,20 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   augment-guided input of seed 1 with that seed's model and the
   benchmark's flags, and `una fit` on a copy of that fit-corpus input with
   an invalid UTF-8 byte on a line past its first 64 KiB, which exits 1;
+- `una fit` on a corpus written by this script whose only word is
+  "solo", then `una augment` on an input of lines that hold it, lines of
+  other words and blank lines, guided and with --replacement-mode random
+  (alpha 1, batch size 4): under a one-term model every line is
+  unaugmentable without a draw;
+- `una augment` on the augment-guided input of seed 1 with one line of
+  10,000 words from its model corpus inserted in the middle, with that
+  seed's model and the benchmark's flags: the line holds more than 8,192
+  tokens and forms an augmentation pass of its own;
 - the standard output of every run, and the standard error of each run
   that exits non-zero, which names the line and byte offset of a decode
   error.
 
-That is 359 files per side. The script prints how many are identical,
+That is 367 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -223,17 +232,28 @@ def write_eval_inputs(corpus: Path, pairs: Path) -> None:
     pairs.write_text("".join(f"{a}\t{b}\t{gold()}\n" for a, b in rows), encoding="utf-8")
 
 
+def write_one_term_inputs(corpus: Path, source: Path) -> None:
+    """A corpus whose only word is "solo", and 30 input lines: some hold
+    it, alone or among other words, the others hold other words or are
+    blank."""
+    corpus.write_text("solo\nsolo solo\nSolo.\n", encoding="utf-8")
+    kinds = ["solo", "solo other solo", "", "other words", "Solo, again", "x"]
+    source.write_text("".join(kinds[k % len(kinds)] + "\n" for k in range(30)), encoding="utf-8")
+
+
 def make_inputs(work: Path) -> None:
     """Write the punctuated, repeated-terms and zero-score corpora, the
-    eval corpus and its pairs, the config files, the bench/gen.py inputs of every workload for every
+    one-term corpus and its input, the eval corpus and its pairs, the
+    config files, the bench/gen.py inputs of every workload for every
     seed, the augment-guided input of seed 1 with an invalid UTF-8 last
-    line, CRLF copies of the fit-corpus and augment-guided inputs of seed
-    1, and that fit-corpus input with an invalid byte inserted past its
-    first 64 KiB."""
+    line and with a line of 10,000 words inserted, CRLF copies of the
+    fit-corpus and augment-guided inputs of seed 1, and that fit-corpus
+    input with an invalid byte inserted past its first 64 KiB."""
     work.mkdir(parents=True)
     write_punctuated_corpus(work / "punctuated_corpus.txt")
     write_repeated_terms_corpus(work / "repeated_terms_corpus.txt")
     write_zero_score_corpus(work / "zero_score_corpus.txt")
+    write_one_term_inputs(work / "one_term_corpus.txt", work / "one_term_input.txt")
     write_eval_inputs(work / "eval_corpus.txt", work / "eval_pairs.tsv")
     for name, lines in CONFIG_FILES.items():
         (work / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -248,6 +268,10 @@ def make_inputs(work: Path) -> None:
     source = work / f"augment-guided-{GEN_SEEDS[0]}" / "augment_input.txt"
     (work / "bad_last_line.txt").write_bytes(source.read_bytes() + b"caf\xc3 au lait\n")
     (work / "augment_input_crlf.txt").write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+    words = (source.parent / "model_corpus.txt").read_text(encoding="utf-8").split()[:10_000]
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lines.insert(len(lines) // 2, " ".join(words))
+    (work / "augment_input_long_line.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     corpus = (work / f"fit-corpus-{GEN_SEEDS[0]}" / "fit_corpus.txt").read_bytes()
     (work / "fit_corpus_crlf.txt").write_bytes(corpus.replace(b"\n", b"\r\n"))
     at = corpus.index(b"\n", 100_000) + 4
@@ -343,6 +367,13 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     matrix.append(fit(f"fit-corpus-{GEN_SEEDS[0]}-crlf", inputs / "fit_corpus_crlf.txt"))
     name = f"augment-guided-{GEN_SEEDS[0]}-crlf"
     source = inputs / "augment_input_crlf.txt"
+    matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], BENCH_AUGMENT_FLAGS))
+    matrix.append(fit("fit-one-term", inputs / "one_term_corpus.txt"))
+    for label, extra in (("guided", []), ("random", ["--replacement-mode", "random"])):
+        flags = ["--alpha", "1", "--batch-size", "4", *extra]
+        matrix.append(augment(f"augment-one-term-{label}", "fit-one-term", inputs / "one_term_input.txt", 1, flags))
+    name = f"augment-guided-{GEN_SEEDS[0]}-long-line"
+    source = inputs / "augment_input_long_line.txt"
     matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], BENCH_AUGMENT_FLAGS))
     return matrix
 

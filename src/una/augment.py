@@ -44,9 +44,15 @@ offsets and the (row, term, score) columns. With tfidf replacement the
 pass stays in columns, byte-identical to the oracle: segment reductions,
 one bulk draw per sentence, a decision scan one term position at a time,
 one `_window_picks` call, and substitution by (row, term) key. Sentences
-with no in-vocabulary terms come back unchanged without a stream. Plans
-keep their outcomes as array columns and build `TermReplacement` entries
-only when they are read.
+with no in-vocabulary terms come back unchanged without a stream.
+
+A pass's negatives stay in columns (`_PassNegatives`): the rewritten
+tokens with row offsets, the source ids, the plan columns, and the few
+sentences that `augment_sentence` redid. A `NegativeBatch` is a view of
+its rows in them: its `AugmentedSentence`s, plans included, are built
+when first read, and `una augment` writes its lines straight from the
+columns. Plans keep their outcomes as array columns and build
+`TermReplacement` entries only when they are read.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from collections import deque
+from functools import cached_property
 from itertools import chain, compress, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -175,15 +182,32 @@ class AugmentedSentence:
     unaugmentable: bool = False
 
 
-@dataclass
 class NegativeBatch:
-    """The negative samples emitted for one injected batch."""
+    """The negative samples emitted for one injected batch.
 
-    batch_index: int
-    sentences: list[AugmentedSentence]
+    The negatives stay in the columns of the passes that made them: runs
+    lists (pass, start, stop) row ranges in order. sentences builds the
+    AugmentedSentence objects, plans included, on first read and keeps
+    them; _rows reads the columns without building any.
+    """
+
+    def __init__(self, batch_index: int, runs: list[tuple[_PassNegatives, int, int]]):
+        self.batch_index = batch_index
+        self._runs = runs
 
     def __len__(self):
-        return len(self.sentences)
+        return sum(stop - start for _, start, stop in self._runs)
+
+    @cached_property
+    def sentences(self) -> list[AugmentedSentence]:
+        return list(chain.from_iterable(negatives.sentences[start:stop] for negatives, start, stop in self._runs))
+
+    def _rows(self) -> Iterator[tuple[int, list[str], bool]]:
+        """(source id, tokens, unaugmentable) of each negative, in order."""
+        for negatives, start, stop in self._runs:
+            tokens, offsets = negatives.tokens, negatives.offsets
+            words = map(tokens.__getitem__, map(slice, offsets[start:stop], offsets[start + 1 : stop + 1]))
+            yield from zip(negatives.source_ids[start:stop], words, negatives.unaugmentable[start:stop])
 
 
 def _unclamped_probabilities(scores: np.ndarray, beta: float) -> np.ndarray:
@@ -349,11 +373,6 @@ def _negative(model: TfIdfModel, document: Document, plan: ReplacementPlan) -> A
     return AugmentedSentence(document.doc_id, tokens, plan)
 
 
-def _unaugmentable(document: Document) -> AugmentedSentence:
-    """The document unchanged, flagged as having no negative."""
-    return AugmentedSentence(document.doc_id, list(document.tokens), None, unaugmentable=True)
-
-
 def augment_sentence(
     model: TfIdfModel,
     document: Document,
@@ -370,7 +389,7 @@ def augment_sentence(
     and flagged unaugmentable.
     """
     if scores.n_terms == 0 or model.m <= 1:
-        return _unaugmentable(document)
+        return AugmentedSentence(document.doc_id, list(document.tokens), None, unaugmentable=True)
 
     probabilities, forced = replacement_probabilities(scores, config.beta, config.selection_mode, rng)
     replaced, replacement_ids = [], []
@@ -445,6 +464,48 @@ class _Pass:
         """The SentenceScores of row rows[j]."""
         a, b = self.bounds[j], self.bounds[j + 1]
         return SentenceScores._unchecked(self.terms[a:b], self.scores[a:b])
+
+
+@dataclass(eq=False)
+class _PassNegatives:
+    """A pass's negatives as columns; no Document is held. Row i is the
+    negative of source source_ids[i]: tokens[offsets[i]:offsets[i + 1]],
+    flagged unaugmentable[i]. plans, with tfidf replacement, holds the
+    columns (rows, bounds, terms, probabilities, forced, replaced, picks,
+    hits): row rows[j]'s plan is terms, probabilities and replaced
+    [bounds[j]:bounds[j + 1]], forced[j] as an index into terms, and picks
+    [hits[j]:hits[j + 1]]. redone maps the rows that augment_sentence
+    redid to its sentences, whose tokens are in tokens too. sentences
+    builds the AugmentedSentence of every row when it is first read.
+    """
+
+    source_ids: list[int]
+    tokens: list[str]
+    offsets: list[int]
+    unaugmentable: list[bool]
+    plans: tuple | None
+    redone: dict[int, AugmentedSentence]
+
+    def __len__(self):
+        return len(self.source_ids)
+
+    @cached_property
+    def sentences(self) -> list[AugmentedSentence]:
+        """The AugmentedSentence of every row, built on first read."""
+        plans = {}
+        if self.plans is not None:
+            rows, bounds, terms, probabilities, forced, replaced, picks, hits = self.plans
+            starts, firsts, hit_starts = bounds.tolist(), (forced - bounds[:-1]).tolist(), hits.tolist()
+            for row, a, b, first, c, d in zip(rows.tolist(), starts, starts[1:], firsts, hit_starts, hit_starts[1:]):
+                plans[row] = ReplacementPlan(terms[a:b], probabilities[a:b], first, replaced[a:b], picks[c:d])
+        tokens, offsets, sentences = self.tokens, self.offsets, []
+        for row, (source_id, a, b) in enumerate(zip(self.source_ids, offsets, offsets[1:])):
+            sentence = self.redone.get(row)
+            if sentence is None:
+                plan = plans.get(row)
+                sentence = AugmentedSentence(source_id, tokens[a:b], plan, unaugmentable=plan is None)
+            sentences.append(sentence)
+        return sentences
 
 
 def _pass_columns(model: TfIdfModel, documents: Sequence[Document]) -> _Pass:
@@ -544,28 +605,23 @@ def _rewritten_tokens(model: TfIdfModel, columns: _Pass, replaced_keys: np.ndarr
 
 
 def _augment_guided(
-    model: TfIdfModel,
-    documents: Sequence[Document],
-    columns: _Pass,
-    config: AugmentationConfig,
-    indices: np.ndarray,
-    positions: np.ndarray,
-) -> dict[int, AugmentedSentence]:
+    model: TfIdfModel, columns: _Pass, config: AugmentationConfig, indices: np.ndarray, positions: np.ndarray
+) -> tuple[list[str], tuple, np.ndarray]:
     """augment_sentence with tfidf replacement for every row of
-    columns.rows, each from its _sentence_rngs stream at (indices[row],
-    positions[row]); the negatives by row.
+    columns.rows (not empty), each from its _sentence_rngs stream at
+    (indices[row], positions[row]).
 
     Each sentence draws its 2n values into one padded array (random
     selection first draws its forced term with integers(), whose spare
     32-bit half random() leaves alone). _decision_scan, one _window_picks
-    call and _rewritten_tokens do the rest on columns; plans are slices of
-    them. A sentence with a zero-mass window is redone by augment_sentence
-    from a fresh copy of its stream, whose uniform fallback draws
+    call and _rewritten_tokens do the rest on columns. Returns the pass's
+    tokens with the substitutes written in, the plan columns of
+    _PassNegatives, and the ascending indices j into columns.rows of the
+    sentences with a zero-mass window, which augment_sentence must redo
+    from a fresh copy of their streams, since its uniform fallback draws
     integers().
     """
     rows, bounds, terms = columns.rows, columns.bounds, columns.terms
-    if not rows.size:
-        return {}
     lengths = np.diff(bounds)
     draws = np.zeros((rows.size, 2 * int(lengths.max())))
     random_selection = config.selection_mode == MODE_RANDOM
@@ -587,56 +643,45 @@ def _augment_guided(
     picks, zero_mass = _window_picks(model, terms[picked], window_draws, config.radius)
     sentence = np.repeat(np.arange(rows.size), lengths)[picked]
     tokens = _rewritten_tokens(model, columns, rows[sentence] * model.m + terms[picked], picks)
-
-    fallback = set(sentence[zero_mass].tolist())
-    hit_bounds = np.searchsorted(sentence, np.arange(rows.size + 1)).tolist()
-    token_bounds, term_bounds = columns.indptr.tolist(), bounds.tolist()
-    negatives = {}
-    for j, (row, first) in enumerate(zip(rows.tolist(), (forced - bounds[:-1]).tolist())):
-        if j in fallback:
-            continue
-        a, b = term_bounds[j], term_bounds[j + 1]
-        plan = ReplacementPlan(
-            terms[a:b], probabilities[a:b], first, replaced[a:b], picks[hit_bounds[j] : hit_bounds[j + 1]]
-        )
-        tokens_of_row = tokens[token_bounds[row] : token_bounds[row + 1]]
-        negatives[row] = AugmentedSentence(documents[row].doc_id, tokens_of_row, plan)
-    fallback = sorted(fallback)
-    redo = rows[fallback]
-    for j, row, rng in zip(fallback, redo.tolist(), _sentence_rngs(config.seed, indices[redo], positions[redo])):
-        negatives[row] = augment_sentence(model, documents[row], columns.scores_of(j), config, rng)
-    return negatives
+    hits = np.searchsorted(sentence, np.arange(rows.size + 1))
+    plans = (rows, bounds, terms, probabilities, forced, replaced, picks, hits)
+    # Not np.unique: its first call in a process maps about 1 MB more of numpy's code.
+    return tokens, plans, np.flatnonzero(np.bincount(sentence[zero_mass], minlength=rows.size))
 
 
 def _augment_pass(
     model: TfIdfModel, indices: list[int], positions: list[int], documents: list[Document], config: AugmentationConfig
-) -> list[AugmentedSentence]:
-    """The negative of each row of a pass, in row order: row i is
-    documents[i], at position positions[i] of batch indices[i]. Rows with
-    no in-vocabulary terms, and every row when the vocabulary has a single
-    term, come back unaugmentable without drawing; the others draw from
-    their _sentence_rngs streams, through _augment_guided or, with random
-    replacement, one augment_sentence call each.
+) -> _PassNegatives:
+    """The negatives of a pass, whose row i is documents[i], at position
+    positions[i] of batch indices[i]. Rows with no in-vocabulary terms,
+    and every row when the vocabulary has a single term, are unaugmentable
+    and draw nothing; the others draw from their _sentence_rngs streams,
+    through _augment_guided or, with random replacement, one
+    augment_sentence call each.
     """
     columns = _pass_columns(model, documents)
-    indices, positions = np.array(indices), np.array(positions)
-    if config.replacement_mode == MODE_TFIDF:
-        negatives = _augment_guided(model, documents, columns, config, indices, positions)
+    indices, positions, rows = np.array(indices), np.array(positions), columns.rows
+    if config.replacement_mode == MODE_TFIDF and rows.size:
+        tokens, plans, redo = _augment_guided(model, columns, config, indices, positions)
     else:
-        rows = columns.rows
-        rngs = _sentence_rngs(config.seed, indices[rows], positions[rows])
-        negatives = {
-            row: augment_sentence(model, documents[row], columns.scores_of(j), config, rng)
-            for j, (row, rng) in enumerate(zip(rows.tolist(), rngs))
-        }
-    return [negatives[row] if row in negatives else _unaugmentable(document) for row, document in enumerate(documents)]
+        tokens, plans, redo = columns.tokens, None, np.arange(rows.size)
+    offsets, redone = columns.indptr.tolist(), {}
+    redo_rows = rows[redo]
+    rngs = _sentence_rngs(config.seed, indices[redo_rows], positions[redo_rows])
+    for j, row, rng in zip(redo.tolist(), redo_rows.tolist(), rngs):
+        sentence = redone[row] = augment_sentence(model, documents[row], columns.scores_of(j), config, rng)
+        tokens[offsets[row] : offsets[row + 1]] = sentence.tokens
+    unaugmentable = np.ones(len(documents), dtype=bool)
+    unaugmentable[rows] = False
+    source_ids = [document.doc_id for document in documents]
+    return _PassNegatives(source_ids, tokens, offsets, unaugmentable.tolist(), plans, redone)
 
 
 def _pass_negatives(
     model: TfIdfModel, batches: Iterable[tuple[int, Sequence[Document]]], config: AugmentationConfig
-) -> Iterator[list[AugmentedSentence]]:
+) -> Iterator[_PassNegatives]:
     """The negatives of the sentences of the (batch index, documents)
-    pairs, in input order, one list per pass.
+    pairs, in input order, one _PassNegatives per pass.
 
     A pass takes sentences in order while its rows times 2 * (most tokens
     in one of its rows, at least 1) stay within _PASS_CELLS. A row has no
@@ -677,7 +722,7 @@ def augment_batch(
     config: AugmentationConfig,
     batch_index: int,
     *,
-    _sentences: Iterator[AugmentedSentence] | None = None,
+    _runs: list[tuple[_PassNegatives, int, int]] | None = None,
 ) -> NegativeBatch | None:
     """Augment one training batch if it falls on the injection schedule.
 
@@ -687,10 +732,9 @@ def augment_batch(
     output equals augment_sentence with each sentence's sentence_rng.
 
     The batch is augmented in passes (_pass_negatives): one, unless a
-    long line splits it. iter_negative_batches hands in _sentences, the
-    negatives of its passes in input order, and each batch takes its own
-    from them, so that every batch it yields is still returned by a call
-    of this function.
+    long line splits it. _negative_batches hands in _runs, the batch's
+    rows in the passes that it augmented across batches, so that every
+    batch it yields is still returned by a call of this function.
     """
     if not documents:
         raise ValueError("batch must be non-empty")
@@ -698,9 +742,44 @@ def augment_batch(
         raise ValueError(f"batch_index is 1-based, got {batch_index}")
     if batch_index % config.alpha != 0:
         return None
-    if _sentences is None:
-        _sentences = chain.from_iterable(_pass_negatives(model, [(batch_index, documents)], config))
-    return NegativeBatch(batch_index, list(islice(_sentences, len(documents))))
+    if _runs is None:
+        passes = _pass_negatives(model, [(batch_index, documents)], config)
+        _runs = [(negatives, 0, len(negatives)) for negatives in passes]
+    return NegativeBatch(batch_index, _runs)
+
+
+def _negative_batches(
+    model: TfIdfModel, scheduled: Iterable[tuple[int, list[Document]]], config: AugmentationConfig
+) -> Iterator[NegativeBatch]:
+    """augment_batch of each (batch index, documents) pair, all on
+    schedule, with the batches augmented in passes that may split and span
+    them (_pass_negatives).
+
+    The look-ahead is the deque of pairs that _pass_negatives has read and
+    whose batch is not yet yielded: the batches of the pass being handed
+    out and the one that closed it.
+    """
+    ahead: deque[tuple[int, list[Document]]] = deque()
+
+    def read() -> Iterator[tuple[int, list[Document]]]:
+        for pair in scheduled:
+            ahead.append(pair)
+            yield pair
+
+    runs, need = [], 0
+    for negatives in _pass_negatives(model, read(), config):
+        start = 0
+        while start < len(negatives):
+            if not need:  # a batch's first row comes only after _pass_negatives has read it
+                batch_index, batch = ahead.popleft()
+                need = len(batch)
+            stop = min(len(negatives), start + need)
+            runs.append((negatives, start, stop))
+            need -= stop - start
+            start = stop
+            if not need:
+                yield augment_batch(model, batch, config, batch_index, _runs=runs)
+                runs = []
 
 
 def iter_negative_batches(
@@ -712,28 +791,15 @@ def iter_negative_batches(
     """Partition documents into batches and yield negatives on schedule.
 
     The on-schedule batches are augmented in passes that may split and
-    span them (_pass_negatives), and documents are read only as the passes
-    need them. The look-ahead is the deque of scheduled batches that
-    _pass_negatives has read and whose batch is not yet yielded: the
-    batches of the pass being handed out and the one that closed it. So
-    about a pass and a batch of documents are held at once, however long
-    the input; off-schedule batches are dropped as they are read.
+    span them (_negative_batches), and documents are read only as the
+    passes need them: about a pass and a batch of documents are held at
+    once, however long the input. Off-schedule batches are dropped as
+    they are read.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     documents = iter(documents)
     # islice takes at most sys.maxsize items, more than any batch holds.
     batches = iter(lambda: list(islice(documents, min(batch_size, sys.maxsize))), [])
-    ahead: deque[tuple[int, list[Document]]] = deque()
-
-    def scheduled() -> Iterator[tuple[int, list[Document]]]:
-        for index, batch in enumerate(batches, 1):
-            if index % config.alpha == 0:
-                ahead.append((index, batch))
-                yield index, batch
-
-    sentences = chain.from_iterable(_pass_negatives(model, scheduled(), config))
-    # A batch's first negative comes only after _pass_negatives has read it.
-    for first in sentences:
-        batch_index, batch = ahead.popleft()
-        yield augment_batch(model, batch, config, batch_index, _sentences=chain((first,), sentences))
+    scheduled = ((index, batch) for index, batch in enumerate(batches, 1) if index % config.alpha == 0)
+    yield from _negative_batches(model, scheduled, config)

@@ -176,22 +176,16 @@ def cmd_augment(args) -> int:
     emitted_batches = 0
     negatives = 0
     unaugmentable = 0
+    marker = "\t" + UNAUGMENTABLE_MARKER
     # The input is streamed, so the output is written aside and only
     # replaces --output once every line has been read and augmented.
     with open(args.input, "rb") as source, _replaced_on_success(args.output) as out:
         for batch in iter_negative_batches(model, documents(source), config, args.batch_size):
             emitted_batches += 1
-            for sentence in batch.sentences:
-                negatives += 1
-                fields = [
-                    str(batch.batch_index),
-                    str(sentence.source_id),
-                    " ".join(sentence.tokens),
-                ]
-                if sentence.unaugmentable:
-                    unaugmentable += 1
-                    fields.append(UNAUGMENTABLE_MARKER)
-                out.write("\t".join(fields) + "\n")
+            negatives += len(batch)
+            for source_id, tokens, flagged in batch._rows():
+                unaugmentable += flagged
+                out.write(f"{batch.batch_index}\t{source_id}\t{' '.join(tokens)}{marker if flagged else ''}\n")
 
     if blanks:
         logger.warning("skipped %d blank line(s)", blanks)

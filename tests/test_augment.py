@@ -4,7 +4,6 @@ import io
 import re
 import tracemalloc
 import weakref
-from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -1045,8 +1044,7 @@ def test_passes_match_per_sentence_oracle(run):
         if first == 1:
             got = list(iter_negative_batches(model, documents, config, batch_size))
         else:  # iter_negative_batches numbered from first
-            sentences = chain.from_iterable(augment._pass_negatives(model, scheduled, config))
-            got = [augment_batch(model, batch, config, index, _sentences=sentences) for index, batch in scheduled]
+            got = list(augment._negative_batches(model, iter(scheduled), config))
     assert [negatives.batch_index for negatives in got] == [index for index, _ in scheduled]
     for negatives, (index, batch) in zip(got, scheduled):
         expected = oracle_batch(model, batch, config, index)
@@ -1120,3 +1118,65 @@ def test_documents_held_do_not_grow_with_input_length():
     assert bound < 2_000
     assert peak_alive(2_000) <= bound
     assert peak_alive(20_000) <= bound
+
+
+class TestLazyBatches:
+    """A NegativeBatch keeps its pass's columns and builds its sentences,
+    plans included, only when they are read."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return zero_score_model(4, corpus_token_lists(zipf_corpus(np.random.default_rng(5), n_sentences=80, vocab_size=60)))
+
+    def documents(self, model, n):
+        terms = model.vocabulary.terms
+        rng = np.random.default_rng(n)
+        rows = [["c0", "c1"], ["oov"], [], ["c2", "c0", "oov", "c2"]]
+        rows += [rng.choice(terms + ["oov"], size=rng.integers(1, 12)).tolist() for _ in range(n - len(rows))]
+        return [Document(i, tokens) for i, tokens in enumerate(rows)]
+
+    @pytest.mark.parametrize("selection", ["tfidf", "random"])
+    @pytest.mark.parametrize("replacement", ["tfidf", "random"])
+    @pytest.mark.parametrize("cells", [40, 300, 2**14])
+    def test_sentences_built_once_and_equal_oracle(self, model, selection, replacement, cells):
+        documents = self.documents(model, 90)
+        config = AugmentationConfig(radius=2, alpha=2, seed=9, selection_mode=selection, replacement_mode=replacement)
+        with mock.patch.object(augment, "_PASS_CELLS", cells):
+            batches = list(iter_negative_batches(model, documents, config, 13))
+        scheduled = [(index, documents[13 * (index - 1) : 13 * index]) for index in range(2, 8, 2)]
+        assert [batch.batch_index for batch in batches] == [index for index, _ in scheduled]
+        for batch, (index, batch_documents) in zip(batches, scheduled):
+            assert len(batch) == len(batch_documents) and "sentences" not in vars(batch)
+            rows = list(batch._rows())
+            assert "sentences" not in vars(batch)
+            first, second = batch.sentences, batch.sentences
+            assert first is second
+            assert rows == [(s.source_id, s.tokens, s.unaugmentable) for s in first]
+            expected = oracle_batch(model, batch_documents, config, index)
+            assert len(first) == len(expected)
+            for got, want in zip(first, expected):
+                assert (got.source_id, got.tokens, got.unaugmentable) == (want.source_id, want.tokens, want.unaugmentable)
+                assert (got.plan is None) == (want.plan is None)
+                if want.plan is not None:
+                    for column in ("term_ids", "probabilities", "replaced", "replacement_ids"):
+                        assert getattr(got.plan, column).tobytes() == getattr(want.plan, column).tobytes(), column
+                    assert got.plan.forced == want.plan.forced
+                    assert got.plan.entries == want.plan.entries
+
+    @pytest.mark.parametrize("replacement", ["tfidf", "random"])
+    def test_yielded_batches_hold_no_document(self, model, replacement):
+        references = []
+
+        def documents():
+            for document in self.documents(model, 200):
+                references.append(weakref.ref(document))
+                yield document
+
+        config = AugmentationConfig(radius=2, alpha=1, seed=3, replacement_mode=replacement)
+        with mock.patch.object(augment, "_PASS_CELLS", 300):
+            batches = list(iter_negative_batches(model, documents(), config, 16))
+        assert len(references) == 200 and sum(map(len, batches)) == 200
+        assert any(negatives.redone for batch in batches for negatives, _, _ in batch._runs)
+        assert [reference() for reference in references] == [None] * 200
+        assert all(len(batch.sentences) == len(batch) for batch in batches)
+        assert [reference() for reference in references] == [None] * 200

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import corpus_from_token_lists
 from una import cli
+from una.augment import AugmentationConfig, iter_negative_batches
 from una.cli import MAX_DIM, main
-from una.corpus import load_corpus
-from una.tfidf import fit, load_model
+from una.corpus import Document, _iter_raw_lines, load_corpus
+from una.tfidf import fit, load_model, save_model
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 SAMPLE_CORPUS = DATA_DIR / "sample_corpus.txt"
@@ -334,6 +336,71 @@ class TestAugment:
              "--selection-mode", "random", "--replacement-mode", "random"]
         )
         assert rc == 0
+
+
+def formatted_negatives(model_path, input_path, config, batch_size):
+    """The lines of una augment's output, formatted from the sentences that
+    iter_negative_batches yields, and the batches it yields."""
+    documents = (Document.from_text(n, text) for n, text in _iter_raw_lines(input_path) if text)
+    batches = list(iter_negative_batches(load_model(model_path), documents, config, batch_size))
+    lines = [
+        "\t".join([str(batch.batch_index), str(sentence.source_id), " ".join(sentence.tokens)]
+                  + ["#unaugmentable"] * sentence.unaugmentable)
+        for batch in batches
+        for sentence in batch.sentences
+    ]
+    return lines, batches
+
+
+class TestAugmentWritesBatchColumns:
+    """una augment writes each line from its batch's columns, never
+    building the sentences; its file must equal the lines formatted from
+    the sentences that iter_negative_batches yields on the same input."""
+
+    # c0..c3 occur in every line of the model corpus (score 0, ranks 0..3):
+    # at radius 2, a line of them alone forces c0, whose window has no mass.
+    ZERO_MASS = [["c0", "c1", "c2", "c3"] + other for other in (["x"], ["y", "z"], ["x", "z", "w"], ["v"])]
+    INPUT = [
+        "c0 c1", "x y zz", "", "c0", "oov qq", "w v x y z", "c2 c3 c0", "", "",
+        "x x x", "qq", "y c1 oov", "z", "v w", "c3 c2", "x c0 y c1", "",
+    ]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("columns")
+        models = {
+            "zero-mass": fit(corpus_from_token_lists(self.ZERO_MASS)),
+            "one-term": fit(corpus_from_token_lists([["x"], ["x"]])),
+            "sample": fit(load_corpus(SAMPLE_CORPUS)),
+        }
+        for name, model in models.items():
+            save_model(model, root / f"{name}.txt")
+        # INPUT between runs of sample lines, for a third batch of 64 that holds INPUT too.
+        sample_lines = SAMPLE_CORPUS.read_text(encoding="utf-8").splitlines()
+        write_lines(root / "input.txt", [line for k in range(8) for line in self.INPUT + sample_lines[20 * k : 20 * k + 20]])
+        return root
+
+    @pytest.mark.parametrize("model_name", ["zero-mass", "one-term", "sample"])
+    @pytest.mark.parametrize("selection", ["tfidf", "random"])
+    @pytest.mark.parametrize("replacement", ["tfidf", "random"])
+    @pytest.mark.parametrize("alpha", [1, 3])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_file_equals_formatted_sentences(self, files, capsys, model_name, selection, replacement, alpha, batch_size):
+        model_path, input_path, out = files / f"{model_name}.txt", files / "input.txt", files / "out.tsv"
+        flags = {"--alpha": alpha, "--batch-size": batch_size, "--radius": 2, "--seed": 5,
+                 "--selection-mode": selection, "--replacement-mode": replacement}
+        argv = ["augment", "--model", str(model_path), "--input", str(input_path), "--output", str(out)]
+        assert main(argv + [str(part) for item in flags.items() for part in item]) == 0
+        config = AugmentationConfig(radius=2, alpha=alpha, seed=5, selection_mode=selection, replacement_mode=replacement)
+        lines, batches = formatted_negatives(model_path, input_path, config, batch_size)
+        assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+        marked = sum(line.endswith("\t#unaugmentable") for line in lines)
+        summary = f"batches={len(batches)} negatives={len(lines)} unaugmentable={marked}\n"
+        assert capsys.readouterr().out == summary
+        if model_name == "one-term":  # every row unaugmentable, nothing drawn
+            assert marked == len(lines) > 0
+        if model_name == "zero-mass" and replacement == "tfidf":  # the uniform fallback is taken
+            assert any(negatives.redone for batch in batches for negatives, _, _ in batch._runs)
 
 
 class TestAugmentStreaming:

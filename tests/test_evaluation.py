@@ -57,8 +57,37 @@ class TestAverageRanks:
         for values in inputs:
             assert average_ranks(values).tobytes() == reference_average_ranks(values).tobytes()
 
+    @pytest.mark.parametrize("kind", ["distinct", "tied", "3-decimal"])
+    def test_bit_for_bit_with_tie_span_loop(self, kind):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 5, 64, 1000, 24_000):
+            if kind == "distinct":
+                values = rng.standard_normal(size)
+            elif kind == "tied":
+                values = rng.integers(0, 6, size).astype(float)
+            else:
+                values = np.round(rng.random(size) * 5, 3)
+            assert average_ranks(values).tobytes() == reference_average_ranks(values).tobytes()
+
 
 class TestSpearman:
+    @pytest.mark.parametrize("golds", ["distinct", "0..5"])
+    def test_spearman_peak_under_56_bytes_a_pair(self, golds):
+        # Beyond its two input arrays, spearman holds one pair's ranks from
+        # the first average_ranks call while the second runs.
+        n = 24_000
+        rng = np.random.default_rng(2)
+        sims = rng.standard_normal(n)
+        gold = rng.standard_normal(n) if golds == "distinct" else rng.integers(0, 6, n).astype(float)
+        spearman(sims, gold)
+        tracemalloc.start()
+        try:
+            spearman(sims, gold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * n, peak / n
+
     def test_perfect_monotone(self):
         assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
 
