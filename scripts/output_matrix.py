@@ -81,11 +81,13 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   10,000 words from its model corpus inserted in the middle, with that
   seed's model and the benchmark's flags: the line holds more than 8,192
   tokens and forms an augmentation pass of its own;
+- `una --help` and each subcommand's `--help`, at COLUMNS=80 like every
+  run, which show every flag's default;
 - the standard output of every run, and the standard error of each run
   that exits non-zero, which names the line and byte offset of a decode
   error.
 
-That is 367 files per side. The script prints how many are identical,
+That is 372 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -375,6 +377,8 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     name = f"augment-guided-{GEN_SEEDS[0]}-long-line"
     source = inputs / "augment_input_long_line.txt"
     matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], BENCH_AUGMENT_FLAGS))
+    matrix.append(("help", ["--help"]))
+    matrix += [(f"help-{command}", [command, "--help"]) for command in ("fit", "augment", "eval", "loss-demo")]
     return matrix
 
 
@@ -400,7 +404,7 @@ def run_checkout(checkout: Path, inputs: Path, out: Path) -> None:
     """Run the matrix with one checkout's una; keep each run's stdout, and
     its stderr if it exits non-zero."""
     out.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"), COLUMNS="80")
     bad_fit = ["fit", "--corpus", str(inputs / "fit_corpus_bad_byte.txt"), "--output", str(out / "fit-bad-byte")]
     matrix = [(name, args, None, 0) for name, args in runs(inputs, out)] + existing_output_runs(inputs, out)
     matrix.append(("fit-bad-byte", bad_fit, None, 1))

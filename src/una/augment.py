@@ -67,12 +67,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._seedseq import spawn_states
+from .config import _MODES, MODE_RANDOM, MODE_TFIDF, AugmentationConfig
 from .corpus import Document
 from .tfidf import SentenceScores, TfIdfModel, _score_columns
 
-MODE_TFIDF = "tfidf"
-MODE_RANDOM = "random"
-_MODES = (MODE_TFIDF, MODE_RANDOM)
 # Most cells of a pass's padded draw array. Every column of a pass grows with
 # its rows and tokens, so this bounds them all; CHANGES.md has the sweep.
 _PASS_CELLS = 2**14
@@ -84,47 +82,6 @@ class EmptySentenceError(ValueError):
 
 class NoReplacementError(ValueError):
     """No candidate term exists (vocabulary of size one)."""
-
-
-@dataclass(frozen=True)
-class AugmentationConfig:
-    """Knobs of the augmentation run.
-
-    beta: replacement-probability magnitude in (0, 1]; the per-sentence
-        mean of the unclamped probabilities equals beta.
-    radius: how many rank positions below and above a term's max-score
-        rank the candidate replacements may come from.
-    alpha: negatives are generated for every alpha-th batch (1-based).
-    seed: master seed for all per-sentence random streams.
-    selection_mode / replacement_mode: "tfidf" for the score-guided
-        behavior, "random" for the ablation baselines.
-    """
-
-    beta: float = 0.5
-    radius: int = 4000
-    alpha: int = 5
-    seed: int = 0
-    selection_mode: str = MODE_TFIDF
-    replacement_mode: str = MODE_TFIDF
-
-    def __post_init__(self):
-        for name in ("radius", "alpha", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.beta, (int, float, np.integer, np.floating)) or isinstance(self.beta, bool):
-            raise ValueError(f"beta must be a real number, got {self.beta!r}")
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.radius < 1:
-            raise ValueError(f"radius must be >= 1, got {self.radius}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
-        for mode in (self.selection_mode, self.replacement_mode):
-            if mode not in _MODES:
-                raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 @dataclass

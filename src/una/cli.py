@@ -22,16 +22,10 @@ import os
 import stat
 import sys
 
-from .augment import MODE_RANDOM, MODE_TFIDF, AugmentationConfig, augment_batch, iter_negative_batches
-from .contrastive import (
-    ContrastiveConfig,
-    PairsFormatError,
-    ToyEncoder,
-    batch_loss,
-    load_pairs,
-)
-from .corpus import CorpusDecodeError, Document, _iter_raw_lines, load_corpus, tokenize
-from .evaluation import EvalDataError, evaluate_pairs, load_scored_pairs
+# Each handler imports the other layers it runs, so that `una fit` runs
+# neither augmentation nor the contrastive loss nor evaluation.
+from .config import MODE_RANDOM, MODE_TFIDF, AugmentationConfig, ContrastiveConfig
+from .corpus import CorpusDecodeError, Document, PairsFormatError, _iter_raw_lines, load_corpus, tokenize
 from .tfidf import ModelFormatError, fit, load_model, save_model
 
 logger = logging.getLogger(__name__)
@@ -156,6 +150,8 @@ def _replaced_on_success(path: str):
 
 
 def cmd_augment(args) -> int:
+    from .augment import iter_negative_batches
+
     try:
         config = AugmentationConfig(beta=args.beta, radius=args.radius, alpha=args.alpha, seed=args.seed,
                                     selection_mode=args.selection_mode, replacement_mode=args.replacement_mode)
@@ -194,15 +190,25 @@ def cmd_augment(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .contrastive import ToyEncoder
+    from .evaluation import EvalDataError, evaluate_pairs, load_scored_pairs
+
     pairs = load_scored_pairs(args.pairs)
     model = load_model(args.model)
     encoder = ToyEncoder(model.vocabulary, dim=args.dim, seed=args.encoder_seed)
-    report = evaluate_pairs(pairs, encoder, model.vocabulary)
+    try:
+        report = evaluate_pairs(pairs, encoder, model.vocabulary)
+    except EvalDataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print(f"rho={report.rho!r} n={report.n_pairs}")
     return 0
 
 
 def cmd_loss_demo(args) -> int:
+    from .augment import augment_batch
+    from .contrastive import ToyEncoder, batch_loss, load_pairs
+
     try:
         contrastive_config = ContrastiveConfig(tau=args.tau, batch_size=args.batch_size)
         augment_config = AugmentationConfig(beta=args.beta, radius=args.radius, seed=args.seed)
@@ -315,9 +321,6 @@ def main(argv: list[str] | None = None) -> int:
     except FlagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EvalDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except _IO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

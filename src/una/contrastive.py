@@ -20,35 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._seedseq import entropy_states
-from .corpus import Vocabulary, read_nonblank_lines, tokenize
+from .config import ContrastiveConfig, _check_tau
+from .corpus import PairsFormatError, Vocabulary, read_nonblank_lines, tokenize
 
 logger = logging.getLogger(__name__)
-
-
-class PairsFormatError(ValueError):
-    """Raised when a pairs TSV line cannot be used; carries the line number."""
-
-    def __init__(self, line_number: int, reason: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {reason}")
-
-
-def _check_tau(tau: float) -> None:
-    if not isinstance(tau, (int, float, np.integer, np.floating)) or isinstance(tau, bool):
-        raise ValueError(f"tau must be a real number, got {tau!r}")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
-
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    tau: float = 0.05
-    batch_size: int = 64
-
-    def __post_init__(self):
-        _check_tau(self.tau)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def cosine_similarity(u, v) -> float:

@@ -45,6 +45,14 @@ class CorpusDecodeError(ValueError):
         super().__init__(f"invalid UTF-8 at byte {byte_offset} (line {line_number}): {reason}")
 
 
+class PairsFormatError(ValueError):
+    """Raised when a pairs TSV line cannot be used; carries the line number."""
+
+    def __init__(self, line_number: int, reason: str):
+        self.line_number = line_number
+        super().__init__(f"line {line_number}: {reason}")
+
+
 # The ASCII characters of category P*: _trim_punctuation strips them in C,
 # and looks categories up only when an end of what remains is not ASCII.
 _ASCII_PUNCTUATION = "!\"#%&'()*,-./:;?@[\\]_{}"

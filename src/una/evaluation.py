@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contrastive import PairsFormatError, ToyEncoder, row_dots
-from .corpus import Vocabulary, read_nonblank_lines, tokenize
+from .contrastive import ToyEncoder, row_dots
+from .corpus import PairsFormatError, Vocabulary, read_nonblank_lines, tokenize
 
 logger = logging.getLogger(__name__)
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_from_token_lists
-from una import cli
+from una import augment, cli, contrastive
 from una.augment import AugmentationConfig, iter_negative_batches
 from una.cli import MAX_DIM, main
 from una.corpus import Document, _iter_raw_lines, load_corpus
@@ -477,13 +477,13 @@ class TestAugmentStreaming:
         assert source.read_bytes() == want
 
     def test_interrupt_removes_the_temporary_file(self, tmp_path, model_file, source, monkeypatch):
-        original = cli.iter_negative_batches
+        original = augment.iter_negative_batches
 
         def interrupted(*args):
             yield next(original(*args))
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "iter_negative_batches", interrupted)
+        monkeypatch.setattr(augment, "iter_negative_batches", interrupted)
         work = tmp_path / "work"
         work.mkdir()
         out = work / "o.tsv"
@@ -519,7 +519,7 @@ class TestAugmentStreaming:
         source = tmp_path / "input.txt"
         write_lines(source, ["a b b c"] * 5_000)
         exhausted, at_batches = [], []
-        read_lines, negative_batches = cli._iter_raw_lines, cli.iter_negative_batches
+        read_lines, negative_batches = cli._iter_raw_lines, augment.iter_negative_batches
 
         def lines(handle):
             yield from read_lines(handle)
@@ -531,7 +531,7 @@ class TestAugmentStreaming:
                 yield batch
 
         monkeypatch.setattr(cli, "_iter_raw_lines", lines)
-        monkeypatch.setattr(cli, "iter_negative_batches", batches)
+        monkeypatch.setattr(augment, "iter_negative_batches", batches)
         assert self.augment(model_file, source, tmp_path / "o.tsv", "--batch-size", "64") == 0
         assert len(at_batches) == 79 and not at_batches[0] and exhausted
 
@@ -940,7 +940,7 @@ class TestDimCap:
         def refuse(*args, **kwargs):
             raise TestDimCap.Built
 
-        monkeypatch.setattr(cli, "ToyEncoder", refuse)
+        monkeypatch.setattr(contrastive, "ToyEncoder", refuse)
 
     @staticmethod
     def argv(command, files, dim_flags):
