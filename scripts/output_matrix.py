@@ -83,11 +83,16 @@ that checkout's `src` on PYTHONPATH) over the same inputs:
   tokens and forms an augmentation pass of its own;
 - `una --help` and each subcommand's `--help`, at COLUMNS=80 like every
   run, which show every flag's default;
+- `una eval` on the pairs file this script writes, and `una loss-demo` on
+  the sample corpus and pairs, each from a copy of its pairs file with
+  CRLF line ends and blank lines at its start, inside and at its end; and
+  `una eval` on that written pairs file with a two-column last line
+  added, which exits 1 and names the line;
 - the standard output of every run, and the standard error of each run
   that exits non-zero, which names the line and byte offset of a decode
   error.
 
-That is 372 files per side. The script prints how many are identical,
+That is 376 files per side. The script prints how many are identical,
 names each one that differs, and exits 1 if any does.
 """
 
@@ -250,7 +255,9 @@ def make_inputs(work: Path) -> None:
     seed, the augment-guided input of seed 1 with an invalid UTF-8 last
     line and with a line of 10,000 words inserted, CRLF copies of the
     fit-corpus and augment-guided inputs of seed 1, and that fit-corpus
-    input with an invalid byte inserted past its first 64 KiB."""
+    input with an invalid byte inserted past its first 64 KiB, and copies
+    of the written and sample pairs files with CRLF line ends and blank
+    lines, and of the written pairs file with a two-column last line."""
     work.mkdir(parents=True)
     write_punctuated_corpus(work / "punctuated_corpus.txt")
     write_repeated_terms_corpus(work / "repeated_terms_corpus.txt")
@@ -278,6 +285,13 @@ def make_inputs(work: Path) -> None:
     (work / "fit_corpus_crlf.txt").write_bytes(corpus.replace(b"\n", b"\r\n"))
     at = corpus.index(b"\n", 100_000) + 4
     (work / "fit_corpus_bad_byte.txt").write_bytes(corpus[:at] + b"\xff" + corpus[at:])
+    for name, pairs in (("eval_pairs", work / "eval_pairs.tsv"), ("sample_pairs", SAMPLE_PAIRS)):
+        rows = [b""]
+        for k, line in enumerate(pairs.read_bytes().splitlines()):
+            rows += [b"", line] if k % 25 == 7 else [line]
+        (work / f"{name}_crlf.tsv").write_bytes(b"\r\n".join([*rows, b"", b""]) + b"\r\n")
+    bad_last_line = (work / "eval_pairs.tsv").read_bytes() + b"ev1 ev2\tev3\n"
+    (work / "eval_pairs_bad_last_line.tsv").write_bytes(bad_last_line)
 
 
 def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
@@ -377,6 +391,10 @@ def runs(inputs: Path, out: Path) -> list[tuple[str, list[str]]]:
     name = f"augment-guided-{GEN_SEEDS[0]}-long-line"
     source = inputs / "augment_input_long_line.txt"
     matrix.append(augment(name, f"fit-model-{GEN_SEEDS[0]}", source, GEN_SEEDS[0], BENCH_AUGMENT_FLAGS))
+    evaluate = ["eval", "--pairs", str(inputs / "eval_pairs_crlf.tsv"), "--model", str(out / "fit-eval-corpus")]
+    matrix.append(("eval-written-pairs-crlf", evaluate))
+    pairs = inputs / "sample_pairs_crlf.tsv"
+    matrix.append(("loss-demo-crlf", ["loss-demo", "--corpus", str(SAMPLE_CORPUS), "--pairs", str(pairs)]))
     matrix.append(("help", ["--help"]))
     matrix += [(f"help-{command}", [command, "--help"]) for command in ("fit", "augment", "eval", "loss-demo")]
     return matrix
@@ -407,7 +425,9 @@ def run_checkout(checkout: Path, inputs: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"), COLUMNS="80")
     bad_fit = ["fit", "--corpus", str(inputs / "fit_corpus_bad_byte.txt"), "--output", str(out / "fit-bad-byte")]
     matrix = [(name, args, None, 0) for name, args in runs(inputs, out)] + existing_output_runs(inputs, out)
-    matrix.append(("fit-bad-byte", bad_fit, None, 1))
+    bad_eval = ["eval", "--pairs", str(inputs / "eval_pairs_bad_last_line.tsv"),
+                "--model", str(out / "fit-eval-corpus")]
+    matrix += [("fit-bad-byte", bad_fit, None, 1), ("eval-bad-last-line", bad_eval, None, 1)]
     for name, args, existing, code in matrix:
         if existing is not None:
             shutil.copyfile(existing, out / name)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import logging
 import math
 import os
 import stat
@@ -25,10 +24,9 @@ import sys
 # Each handler imports the other layers it runs, so that `una fit` runs
 # neither augmentation nor the contrastive loss nor evaluation.
 from .config import MODE_RANDOM, MODE_TFIDF, AugmentationConfig, ContrastiveConfig
-from .corpus import CorpusDecodeError, Document, PairsFormatError, _iter_raw_lines, load_corpus, tokenize
+from .corpus import (CorpusDecodeError, Document, PairsFormatError, _iter_raw_lines, _nonblank_lines, load_corpus,
+                     tokenize)
 from .tfidf import ModelFormatError, fit, load_model, save_model
-
-logger = logging.getLogger(__name__)
 
 UNAUGMENTABLE_MARKER = "#unaugmentable"
 
@@ -159,16 +157,6 @@ def cmd_augment(args) -> int:
         raise FlagError(str(exc)) from None
 
     model = load_model(args.model)
-    blanks = 0
-
-    def documents(source):
-        nonlocal blanks
-        for number, text in _iter_raw_lines(source):
-            if text:
-                yield Document.from_text(number, text)
-            else:
-                blanks += 1
-
     emitted_batches = 0
     negatives = 0
     unaugmentable = 0
@@ -176,28 +164,26 @@ def cmd_augment(args) -> int:
     # The input is streamed, so the output is written aside and only
     # replaces --output once every line has been read and augmented.
     with open(args.input, "rb") as source, _replaced_on_success(args.output) as out:
-        for batch in iter_negative_batches(model, documents(source), config, args.batch_size):
+        documents = (Document.from_text(number, text) for number, text in _nonblank_lines(source))
+        for batch in iter_negative_batches(model, documents, config, args.batch_size):
             emitted_batches += 1
             negatives += len(batch)
             for source_id, tokens, flagged in batch._rows():
                 unaugmentable += flagged
                 out.write(f"{batch.batch_index}\t{source_id}\t{' '.join(tokens)}{marker if flagged else ''}\n")
 
-    if blanks:
-        logger.warning("skipped %d blank line(s)", blanks)
     print(f"batches={emitted_batches} negatives={negatives} unaugmentable={unaugmentable}")
     return 0
 
 
 def cmd_eval(args) -> int:
     from .contrastive import ToyEncoder
-    from .evaluation import EvalDataError, evaluate_pairs, load_scored_pairs
+    from .evaluation import EvalDataError, _scored_pairs, evaluate_pairs
 
-    pairs = load_scored_pairs(args.pairs)
     model = load_model(args.model)
     encoder = ToyEncoder(model.vocabulary, dim=args.dim, seed=args.encoder_seed)
     try:
-        report = evaluate_pairs(pairs, encoder, model.vocabulary)
+        report = evaluate_pairs(_scored_pairs(args.pairs), encoder, model.vocabulary)
     except EvalDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -280,8 +280,34 @@ def _line_runs(source) -> Iterator[list[str]]:
             yield lines
 
 
+def _nonblank_lines(source) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, text) for each non-empty line of _iter_raw_lines;
+    the blank lines are counted in one warning once the input is exhausted,
+    so a reader that stops or raises part-way gives none."""
+    blanks = 0
+    for number, text in _iter_raw_lines(source):
+        if text:
+            yield number, text
+        else:
+            blanks += 1
+    if blanks:
+        logger.warning("skipped %d blank line(s)", blanks)
+
+
+def _tsv_rows(source, columns: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_number, fields) for each line of _nonblank_lines, split
+    on tabs; a line of another number of fields raises PairsFormatError."""
+    for number, text in _nonblank_lines(source):
+        fields = text.split("\t")
+        if len(fields) != columns:
+            raise PairsFormatError(number, f"expected {columns} tab-separated columns, got {len(fields)}")
+        yield number, fields
+
+
 def read_nonblank_lines(source) -> tuple[list[tuple[int, str]], int]:
-    """Collect (line_number, text) for non-empty lines; count blanks."""
+    """Collect (line_number, text) for non-empty lines; count blanks.
+    una's readers stream through _nonblank_lines instead; this stays as the
+    form that the reader's tests compare and that bench/spans.py traces."""
     lines = list(_iter_raw_lines(source))
     kept = [(number, text) for number, text in lines if text]
     return kept, len(lines) - len(kept)

@@ -16,12 +16,12 @@ import logging
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .contrastive import ToyEncoder, row_dots
-from .corpus import PairsFormatError, Vocabulary, read_nonblank_lines, tokenize
+from .corpus import PairsFormatError, Vocabulary, _tsv_rows, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -85,29 +85,27 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return min(1.0, max(-1.0, rho))
 
 
-def load_scored_pairs(source) -> list[ScoredPair]:
-    """Read sentence_a<TAB>sentence_b<TAB>gold lines; blank lines are
-    skipped and counted in one warning."""
-    lines, blanks = read_nonblank_lines(source)
-    if blanks:
-        logger.warning("skipped %d blank line(s)", blanks)
-    pairs = []
-    for line_number, text in lines:
-        fields = text.split("\t")
-        if len(fields) != 3:
-            raise PairsFormatError(line_number, f"expected 3 tab-separated columns, got {len(fields)}")
+def _scored_pairs(source) -> Iterator[ScoredPair]:
+    """Yield a ScoredPair for each sentence_a<TAB>sentence_b<TAB>gold line,
+    parsed as it is read; blank lines are skipped and counted in one
+    warning once the input is exhausted."""
+    for line_number, (sentence_a, sentence_b, score) in _tsv_rows(source, 3):
         try:
             # float() also reads "1_0" as 10 and non-ASCII digits, where a
             # typo would silently move the pair's rank.
-            if not fields[2].isascii() or "_" in fields[2]:
+            if not score.isascii() or "_" in score:
                 raise ValueError
-            gold = float(fields[2])
+            gold = float(score)
         except ValueError:
-            raise PairsFormatError(line_number, f"bad gold score {fields[2]!r}") from None
+            raise PairsFormatError(line_number, f"bad gold score {score!r}") from None
         if not np.isfinite(gold):
-            raise PairsFormatError(line_number, f"gold score must be finite, got {fields[2]}")
-        pairs.append(ScoredPair(fields[0], fields[1], gold))
-    return pairs
+            raise PairsFormatError(line_number, f"gold score must be finite, got {score}")
+        yield ScoredPair(sentence_a, sentence_b, gold)
+
+
+def load_scored_pairs(source) -> list[ScoredPair]:
+    """The pairs of _scored_pairs as a list."""
+    return list(_scored_pairs(source))
 
 
 # Most pairs one chunk of evaluate_pairs holds, and the most embedding

@@ -519,7 +519,7 @@ class TestAugmentStreaming:
         source = tmp_path / "input.txt"
         write_lines(source, ["a b b c"] * 5_000)
         exhausted, at_batches = [], []
-        read_lines, negative_batches = cli._iter_raw_lines, augment.iter_negative_batches
+        read_lines, negative_batches = cli._nonblank_lines, augment.iter_negative_batches
 
         def lines(handle):
             yield from read_lines(handle)
@@ -530,7 +530,7 @@ class TestAugmentStreaming:
                 at_batches.append(bool(exhausted))
                 yield batch
 
-        monkeypatch.setattr(cli, "_iter_raw_lines", lines)
+        monkeypatch.setattr(cli, "_nonblank_lines", lines)
         monkeypatch.setattr(augment, "iter_negative_batches", batches)
         assert self.augment(model_file, source, tmp_path / "o.tsv", "--batch-size", "64") == 0
         assert len(at_batches) == 79 and not at_batches[0] and exhausted
@@ -633,6 +633,39 @@ class TestEval:
         assert (result.returncode, result.stderr) == (0, "skipped 3 blank line(s)\n")
         assert result.stdout.startswith("rho=") and result.stdout.endswith(" n=3\n")
 
+    def test_blank_lines_then_malformed_last_line_report_only_the_error(self, tmp_path, model_file):
+        # The real process: the error ends the read, so no blank-line warning is given.
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a b\ta b\t5.0\n\na b\ta c\t3.0\n\nb\tc\n", encoding="utf-8")
+        argv = ["eval", "--pairs", str(pairs), "--model", str(model_file)]
+        result = subprocess.run([sys.executable, "-m", "una.cli", *argv], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: line 5: expected 3 tab-separated columns, got 2\n"
+
+    def test_peak_memory_grows_under_64_bytes_a_pair(self, tmp_path, capsys):
+        # The pairs are parsed as evaluate_pairs reads them, so a run keeps
+        # a similarity and a gold score a pair, not the file's lines. Each
+        # size runs in a fresh process, so neither sees the other's heap.
+        model = tmp_path / "model.txt"
+        assert main(["fit", "--corpus", str(SAMPLE_CORPUS), "--output", str(model)]) == 0
+        capsys.readouterr()
+        lines = SAMPLE_CORPUS.read_text(encoding="utf-8").splitlines()
+        rows = "".join(f"{a}\t{b}\t{k % 7}\n" for k, (a, b) in enumerate(zip(lines, lines[1:])))
+        code = (
+            "import sys, tracemalloc; from una.cli import main; tracemalloc.start(); "
+            "assert main(sys.argv[1:]) == 0; print(tracemalloc.get_traced_memory()[1])"
+        )
+        peaks = []
+        for copies in (1, 16):
+            pairs = tmp_path / f"pairs-{copies}.tsv"
+            pairs.write_text(rows * copies, encoding="utf-8")
+            argv = ["eval", "--pairs", str(pairs), "--model", str(model)]
+            result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            peaks.append(int(result.stdout.splitlines()[-1]))
+        added = 15 * (len(lines) - 1)
+        assert peaks[1] - peaks[0] < 64 * added, (peaks, (peaks[1] - peaks[0]) / added)
+
     def test_constant_gold_exits_3(self, tmp_path, model_file, capsys):
         pairs = tmp_path / "pairs.tsv"
         write_lines(pairs, ["a b\ta b\t1.0", "a\tb\t1.0", "b\tc\t1.0"])
@@ -710,6 +743,15 @@ class TestLossDemo:
         result = subprocess.run([sys.executable, "-m", "una.cli", *argv], capture_output=True, text=True)
         assert (result.returncode, result.stderr) == (0, "skipped 2 blank line(s)\n")
         assert result.stdout.startswith("loss_without_una=")
+
+    def test_blank_lines_then_malformed_last_line_report_only_the_error(self, tmp_path):
+        # The real process: the error ends the read, so no blank-line warning is given.
+        corpus, pairs = self.make_inputs(tmp_path)
+        pairs.write_text("\n" + pairs.read_text(encoding="utf-8") + "\n\nw1 common\n", encoding="utf-8")
+        argv = ["loss-demo", "--corpus", str(corpus), "--pairs", str(pairs)]
+        result = subprocess.run([sys.executable, "-m", "una.cli", *argv], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: line 14: expected 2 tab-separated columns, got 1\n"
 
     def test_missing_pairs_file_exits_1(self, tmp_path):
         corpus, _ = self.make_inputs(tmp_path)

@@ -26,10 +26,13 @@ from una import corpus as corpus_module
 from una.corpus import (
     _COMPACT_CHUNK,
     _READ_BYTES,
+    _nonblank_lines,
     _trim_punctuation,
+    _tsv_rows,
     Corpus,
     CorpusDecodeError,
     Document,
+    PairsFormatError,
     Vocabulary,
     build_vocabulary,
     load_corpus,
@@ -287,6 +290,47 @@ _PIECES = st.one_of(
     st.sampled_from(_EMPTY_PIECES + _WORD_PIECES),
     st.text(alphabet=st.sampled_from(_TRICKY), min_size=1, max_size=5),
 )
+
+
+class TestLineReaders:
+    """_nonblank_lines and _tsv_rows, through which the augment input and
+    both pair files are read."""
+
+    def test_line_numbers_across_blank_lines_and_crlf(self):
+        data = b"a b\r\n\r\n\nc\r\n\n"
+        assert list(_nonblank_lines(io.BytesIO(data))) == [(1, "a b"), (4, "c")]
+        rows = _tsv_rows(io.BytesIO(b"x\ty\r\n\r\nz\t\r\n"), 2)
+        assert list(rows) == [(1, ["x", "y"]), (3, ["z", ""])]
+
+    def test_one_warning_once_the_input_is_exhausted(self, caplog):
+        lines = _nonblank_lines(io.StringIO("\na\n\nb\n\n"))
+        with caplog.at_level("WARNING", logger="una.corpus"):
+            assert [next(lines), next(lines)] == [(2, "a"), (4, "b")]
+            assert caplog.messages == []
+            assert list(lines) == []
+        assert caplog.messages == ["skipped 3 blank line(s)"]
+
+    def test_no_warning_without_blank_lines(self, caplog):
+        with caplog.at_level("WARNING", logger="una.corpus"):
+            assert list(_tsv_rows(io.StringIO("a\tb\n"), 2)) == [(1, ["a", "b"])]
+        assert caplog.messages == []
+
+    def test_no_warning_when_the_reader_raises_part_way(self, caplog):
+        lines = _nonblank_lines(io.StringIO("a\n\nb\n\n"))
+        with caplog.at_level("WARNING", logger="una.corpus"):
+            with pytest.raises(RuntimeError):
+                for _ in lines:
+                    raise RuntimeError
+            lines.close()
+        assert caplog.messages == []
+
+    def test_column_error_names_its_line(self, caplog):
+        with caplog.at_level("WARNING", logger="una.corpus"):
+            with pytest.raises(PairsFormatError) as err:
+                list(_tsv_rows(io.StringIO("a\tb\tc\n\n\na\tb\n"), 3))
+        assert err.value.line_number == 4
+        assert str(err.value) == "line 4: expected 3 tab-separated columns, got 2"
+        assert caplog.messages == []
 
 
 class TestLoadCorpusOracle:

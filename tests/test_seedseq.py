@@ -109,6 +109,8 @@ class TestPcg64Seeding:
 
 
 def test_import_leaves_numpy_random_unloaded():
-    # numpy.random is a sizeable import; una loads it only when it first draws.
-    code = "import sys, una; sys.exit('numpy.random' in sys.modules)"
+    # numpy.random is a sizeable import; una loads it only when it first
+    # draws. The layers are registered lazily, so their code is run first.
+    code = ("import sys, una; una.contrastive.ToyEncoder, una.augment.augment_batch, una.evaluation.evaluate_pairs; "
+            "sys.exit('numpy.random' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -18,12 +18,13 @@ import pytest
 SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.txt"
 
 # Runs `una` on its arguments in process, then prints the una modules
-# whose code ran as a plain module.
+# whose code ran as a plain module, and numpy.random if it was loaded.
 RUN_CLI = """
 import sys, types
 import una, una.cli
 code = una.cli.main(sys.argv[1:])
-print(" ".join(sorted(n for n, m in sys.modules.items() if n.split(".")[0] == "una" and type(m) is types.ModuleType)))
+ran = [n for n, m in sys.modules.items() if n.split(".")[0] == "una" and type(m) is types.ModuleType]
+print(" ".join(sorted(ran + ["numpy.random"] * ("numpy.random" in sys.modules))))
 sys.exit(code)
 """
 DEFERRED = {"una.augment", "una._seedseq", "una.contrastive", "una.evaluation"}
@@ -53,6 +54,7 @@ def model(tmp_path_factory):
 
 def test_fit_runs_only_corpus_and_tfidf(tmp_path):
     ran = modules_run("fit", "--corpus", SAMPLE_CORPUS, "--output", tmp_path / "model.txt")
+    assert "numpy.random" not in ran
     assert ran == {"una", "una.cli", "una.config", "una.corpus", "una.tfidf"}
 
 
